@@ -5,9 +5,8 @@
  * idle memory partition, idle whole-GPU tick) and reports end-to-end
  * simulation throughput in cycles/second for a compute-bound (MM) and
  * a memory-stalled (LBM) workload, each with event-horizon clock
- * skipping enabled and disabled, plus the same workloads under the
- * parallel tick engine at 1/2/4 tick threads (results are
- * bit-identical by construction; only wall clock changes).
+ * skipping enabled and disabled (results are bit-identical by
+ * construction; only wall clock changes).
  *
  * Usage: bench_hotpath [--out FILE]   (default BENCH_hotpath.json)
  *
@@ -17,7 +16,6 @@
  * tracking artifact, not a correctness gate.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +30,6 @@
 #include "gpu/gpu.hh"
 #include "mem/dram.hh"
 #include "mem/partition.hh"
-#include "obs/engine_profiler.hh"
 #include "workloads/benchmarks.hh"
 
 using namespace wsl;
@@ -57,85 +54,17 @@ struct RunCost
  *  partitions and return simulated cycles + wall seconds. */
 RunCost
 runWorkload(const char *bench, Cycle window, bool skip, unsigned sms,
-            unsigned parts, unsigned tick_threads = 1)
+            unsigned parts)
 {
     GpuConfig cfg = GpuConfig::baseline();
     cfg.clockSkip = skip;
     cfg.numSms = sms;
     cfg.numMemPartitions = parts;
-    cfg.tickThreads = tick_threads;
     Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark(bench));
     const auto t0 = std::chrono::steady_clock::now();
     gpu.run(window);
     return {gpu.cycle(), seconds(t0)};
-}
-
-/**
- * One epoch's wall time split three ways by the engine profiler:
- * parallel compute (SM + partition phases minus the pool barrier
- * wait), serial commit (the two ordered interconnect merges), and
- * wait (worker-0 spinning/yielding at the epoch barrier). This is the
- * decomposition the tick-thread scaling rows above cannot give —
- * "4 threads are slower" becomes "because commit/wait dominates".
- */
-struct PhaseCost
-{
-    double computeNsPerCycle = 0;
-    double commitNsPerCycle = 0;
-    double waitNsPerCycle = 0;
-    double fusedFraction = 0;      //!< simulated cycles inside fused epochs
-    double dispatchesPerCycle = 0; //!< pool dispatches / simulated cycle
-    Cycle cycles = 0;
-
-    const char *
-    dominant() const
-    {
-        if (computeNsPerCycle >= commitNsPerCycle &&
-            computeNsPerCycle >= waitNsPerCycle)
-            return "compute";
-        return commitNsPerCycle >= waitNsPerCycle ? "commit" : "wait";
-    }
-};
-
-PhaseCost
-runWorkloadProfiled(const char *bench, Cycle window, bool skip,
-                    unsigned sms, unsigned parts, unsigned tick_threads)
-{
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = skip;
-    cfg.numSms = sms;
-    cfg.numMemPartitions = parts;
-    cfg.tickThreads = tick_threads;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
-    gpu.launchKernel(benchmark(bench));
-    EngineProfiler prof;
-    gpu.attachEngineProfiler(&prof);
-    gpu.run(window);
-    prof.harvest(gpu);
-
-    PhaseCost cost;
-    cost.cycles = gpu.cycle();
-    const double cycles = static_cast<double>(
-        cost.cycles ? cost.cycles : 1);
-    const double pooled =
-        static_cast<double>(prof.phaseNs(EpochPhase::SmCompute) +
-                            prof.phaseNs(EpochPhase::PartitionCompute) +
-                            prof.phaseNs(EpochPhase::FusedCompute));
-    const double wait =
-        static_cast<double>(prof.poolBarrierWaitNs());
-    cost.computeNsPerCycle = std::max(0.0, pooled - wait) / cycles;
-    cost.commitNsPerCycle =
-        static_cast<double>(
-            prof.phaseNs(EpochPhase::IcntMergeRequests) +
-            prof.phaseNs(EpochPhase::IcntDeliver)) /
-        cycles;
-    cost.waitNsPerCycle = wait / cycles;
-    cost.fusedFraction =
-        static_cast<double>(prof.fusedCycles()) / cycles;
-    cost.dispatchesPerCycle =
-        static_cast<double>(prof.poolDispatches()) / cycles;
-    return cost;
 }
 
 /** Per-tick cost of a kernel-free GPU (pipeline bookkeeping floor). */
@@ -246,66 +175,6 @@ main(int argc, char **argv)
                     r.noskip.cycles / r.noskip.secs / 1e6);
     }
 
-    // Parallel tick engine scaling: the same full-GPU runs at 1/2/4
-    // tick threads, skipping off so every cycle pays the tick cost the
-    // worker pool is sharding. Speedups only materialize with spare
-    // hardware threads; the JSON records the host's count so readers
-    // can interpret the numbers (on a 1-core host the 2/4-thread rows
-    // measure pool overhead, not speedup).
-    constexpr unsigned tick_counts[] = {1, 2, 4};
-    double tick_rate[2][3] = {};
-    std::printf("tick-thread scaling (no clock skipping, %u hw "
-                "threads):\n",
-                std::thread::hardware_concurrency());
-    for (std::size_t i = 0; i < 2; ++i) {
-        for (std::size_t j = 0; j < 3; ++j) {
-            const RunCost c =
-                runWorkload(rows[i].bench, window, false, base.numSms,
-                            base.numMemPartitions, tick_counts[j]);
-            tick_rate[i][j] = c.cycles / c.secs;
-        }
-        std::printf("  %s (%s): %.2f / %.2f / %.2f Mcyc/s at 1/2/4 "
-                    "tick threads\n",
-                    rows[i].label, rows[i].bench, tick_rate[i][0] / 1e6,
-                    tick_rate[i][1] / 1e6, tick_rate[i][2] / 1e6);
-    }
-
-    // Where does the pooled epoch's time actually go? Profile the same
-    // workloads at 4 tick threads and split each simulated cycle into
-    // parallel compute, serial commit, and barrier wait. The primary
-    // rows profile the production engine (clock skipping on, fused
-    // multi-cycle epochs active — one pool dispatch covers a whole
-    // quiet window); the noskip rows keep the per-cycle reference
-    // engine as the in-file before, so wait-per-cycle before/after is
-    // one division away.
-    constexpr unsigned profile_threads = 4;
-    PhaseCost phases[2], phases_noskip[2];
-    std::printf("epoch phase split (%u tick threads, profiled, fused "
-                "engine):\n",
-                profile_threads);
-    for (std::size_t i = 0; i < 2; ++i) {
-        phases[i] = runWorkloadProfiled(rows[i].bench, window, true,
-                                        base.numSms,
-                                        base.numMemPartitions,
-                                        profile_threads);
-        phases_noskip[i] =
-            runWorkloadProfiled(rows[i].bench, window, false,
-                                base.numSms, base.numMemPartitions,
-                                profile_threads);
-        std::printf("  %s (%s): compute %7.1f ns/cyc, commit %7.1f "
-                    "ns/cyc, wait %7.1f ns/cyc (noskip wait %7.1f), "
-                    "%4.1f%% cycles fused, %.2f dispatches/cyc "
-                    "-> %s-dominated\n",
-                    rows[i].label, rows[i].bench,
-                    phases[i].computeNsPerCycle,
-                    phases[i].commitNsPerCycle,
-                    phases[i].waitNsPerCycle,
-                    phases_noskip[i].waitNsPerCycle,
-                    phases[i].fusedFraction * 100,
-                    phases[i].dispatchesPerCycle,
-                    phases[i].dominant());
-    }
-
     std::ofstream os(out_path);
     if (!os) {
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -332,41 +201,7 @@ main(int argc, char **argv)
            << r.skip.cycles / r.skip.secs << ",\n"
            << "      \"seconds_noskip\": " << r.noskip.secs << ",\n"
            << "      \"cycles_per_sec_noskip\": "
-           << r.noskip.cycles / r.noskip.secs << ",\n"
-           << "      \"cycles_per_sec_tick_threads\": {\n"
-           << "        \"1\": " << tick_rate[i][0] << ",\n"
-           << "        \"2\": " << tick_rate[i][1] << ",\n"
-           << "        \"4\": " << tick_rate[i][2] << ",\n"
-           // On a 1-core host the 2/4-thread rows can only measure
-           // pool overhead, never speedup; say so in-band so report
-           // diffs don't read them as regressions.
-           << "        \"overhead_only\": "
-           << (std::thread::hardware_concurrency() <= 1 ? "true"
-                                                        : "false")
-           << "\n"
-           << "      }\n"
-           << "    }" << (i == 0 ? "," : "") << "\n";
-    }
-    os << "  },\n"
-       << "  \"epoch_phase\": {\n"
-       << "    \"tick_threads\": " << profile_threads << ",\n"
-       << "    \"clock_skip\": true,\n";
-    for (std::size_t i = 0; i < 2; ++i) {
-        os << "    \"" << rows[i].label << "\": {\n"
-           << "      \"compute_ns_per_cycle\": "
-           << phases[i].computeNsPerCycle << ",\n"
-           << "      \"commit_ns_per_cycle\": "
-           << phases[i].commitNsPerCycle << ",\n"
-           << "      \"wait_ns_per_cycle\": "
-           << phases[i].waitNsPerCycle << ",\n"
-           << "      \"fused_cycle_fraction\": "
-           << phases[i].fusedFraction << ",\n"
-           << "      \"pool_dispatches_per_cycle\": "
-           << phases[i].dispatchesPerCycle << ",\n"
-           << "      \"wait_ns_per_cycle_noskip\": "
-           << phases_noskip[i].waitNsPerCycle << ",\n"
-           << "      \"dominant\": \"" << phases[i].dominant()
-           << "\"\n"
+           << r.noskip.cycles / r.noskip.secs << "\n"
            << "    }" << (i == 0 ? "," : "") << "\n";
     }
     os << "  }\n}\n";

@@ -1,27 +1,23 @@
 /**
  * @file
  * Wall-clock benchmark and correctness gate for the experiment engine:
- * runs the full 30-pair x 4-policy evaluation matrix eight ways —
+ * runs the full 30-pair x 4-policy evaluation matrix four ways —
  * {serial, `--jobs` worker threads} x {event-horizon clock skipping
- * on, off} x {tick-threads 1, `--tick-threads` N} — plus a ninth
- * pass with the full observability layer attached (engine profiler on
- * every job, decision log on the Dynamic jobs, registry exporters
- * exercised afterwards) and two warm-start passes (one populating the
- * process-wide SnapshotCache with each job's prefix snapshot, one
- * replaying the whole matrix from those cached snapshots), verifies
- * all eleven result sets are bit-identical, and reports the speedups.
- * This is the gate that lets clock skipping, batch parallelism, the
- * intra-run parallel tick engine, the observability layer, and the
+ * on, off} — plus a fifth pass with the full observability layer
+ * attached (engine profiler on every job, decision log on the Dynamic
+ * jobs, registry exporters exercised afterwards) and two warm-start
+ * passes (one populating the process-wide SnapshotCache with each
+ * job's prefix snapshot, one replaying the whole matrix from those
+ * cached snapshots), verifies all seven result sets are
+ * bit-identical, and reports the speedups. This is the gate that lets
+ * clock skipping, batch parallelism, the observability layer, and the
  * snapshot warm-start path all claim "pure performance toggle" /
  * "pure observer".
  *
- * Usage: bench_sweep [--quick] [--jobs N] [--tick-threads N] [--out FILE]
+ * Usage: bench_sweep [--quick] [--jobs N] [--out FILE]
  *   --quick   evaluate only the first 6 pairs (CI-sized)
  *   --jobs N  worker threads for the parallel passes (default WSL_JOBS,
  *             0 = all hardware threads)
- *   --tick-threads N  intra-run tick threads for the tick passes
- *             (default 4; the single-run passes use them un-clamped,
- *             the batch passes compose them against --jobs)
  *   --out F   JSON report path (default BENCH_sweep.json)
  *
  * The solo-characterization cache is cleared before each pass so both
@@ -99,7 +95,6 @@ main(int argc, char **argv)
 {
     bool quick = false;
     unsigned jobs = defaultJobs();
-    unsigned tick_threads = 4;
     std::string out_path = "BENCH_sweep.json";
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
@@ -107,34 +102,22 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
             jobs = parseJobs(argv[++i], "--jobs");
-        } else if (std::strcmp(argv[i], "--tick-threads") == 0 &&
-                   i + 1 < argc) {
-            tick_threads = parseJobs(argv[++i], "--tick-threads");
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--quick] [--jobs N] "
-                         "[--tick-threads N] [--out FILE]\n",
+                         "usage: %s [--quick] [--jobs N] [--out FILE]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (tick_threads < 1)
-        tick_threads = 1;
 
     const GpuConfig cfg = GpuConfig::baseline();
     GpuConfig cfg_noskip = cfg;
     cfg_noskip.clockSkip = false;
-    GpuConfig cfg_tick = cfg;
-    cfg_tick.tickThreads = tick_threads;
-    GpuConfig cfg_tick_noskip = cfg_noskip;
-    cfg_tick_noskip.tickThreads = tick_threads;
     const Cycle window = defaultWindow();
     Characterization chars(cfg, window);
     Characterization chars_noskip(cfg_noskip, window);
-    Characterization chars_tick(cfg_tick, window);
-    Characterization chars_tick_noskip(cfg_tick_noskip, window);
 
     std::vector<WorkloadPair> pairs = evaluationPairs();
     if (quick && pairs.size() > 6)
@@ -160,8 +143,6 @@ main(int argc, char **argv)
 
     std::vector<CoRunResult> serial, parallel;
     std::vector<CoRunResult> serial_ref, parallel_ref;
-    std::vector<CoRunResult> tick, tick_ref;
-    std::vector<CoRunResult> par_tick, par_tick_ref;
     const double t_serial = timedRun(chars, batch, 1, serial);
     std::printf("serial:            %7.2fs (1 thread)\n", t_serial);
     const double t_parallel = timedRun(chars, batch, jobs, parallel);
@@ -174,25 +155,7 @@ main(int argc, char **argv)
         timedRun(chars_noskip, batch, jobs, parallel_ref);
     std::printf("parallel no-skip:  %7.2fs (%u threads)\n",
                 t_parallel_ref, jobs);
-    // Tick passes: single-run intra-GPU parallelism (jobs=1 keeps the
-    // composition rule from clamping the tick threads away), then both
-    // levels composed.
-    const double t_tick = timedRun(chars_tick, batch, 1, tick);
-    std::printf("tick-par:          %7.2fs (1 job x %u tick threads)\n",
-                t_tick, tick_threads);
-    const double t_tick_ref =
-        timedRun(chars_tick_noskip, batch, 1, tick_ref);
-    std::printf("tick-par no-skip:  %7.2fs (1 job x %u tick threads)\n",
-                t_tick_ref, tick_threads);
-    const double t_par_tick = timedRun(chars_tick, batch, jobs, par_tick);
-    std::printf("both levels:       %7.2fs (%u jobs x <=%u tick "
-                "threads)\n", t_par_tick, jobs, tick_threads);
-    const double t_par_tick_ref =
-        timedRun(chars_tick_noskip, batch, jobs, par_tick_ref);
-    std::printf("both no-skip:      %7.2fs (%u jobs x <=%u tick "
-                "threads)\n", t_par_tick_ref, jobs, tick_threads);
-
-    // Ninth pass: full observability attached. The profiler and
+    // Fifth pass: full observability attached. The profiler and
     // decision log only observe, so simulated results must still be
     // bit-identical to the plain serial pass.
     std::vector<EngineProfiler> profilers(batch.size());
@@ -250,10 +213,11 @@ main(int argc, char **argv)
         registry.writePrometheus(sink);
     }
 
-    // All nine passes must agree byte for byte: neither level of
-    // parallelism may perturb results, event-horizon skipping must
-    // be invisible next to the per-cycle reference loop, and the
-    // observability layer must be a pure observer.
+    // All seven passes must agree byte for byte: batch parallelism
+    // may not perturb results, event-horizon skipping must be
+    // invisible next to the per-cycle reference loop, the
+    // observability layer must be a pure observer, and warm starts
+    // must continue exactly where the prefix left off.
     auto same_as_serial = [&](const std::vector<CoRunResult> &other) {
         if (other.size() != serial.size())
             return false;
@@ -265,25 +229,18 @@ main(int argc, char **argv)
     const bool thread_identical = same_as_serial(parallel);
     const bool skip_identical = same_as_serial(serial_ref) &&
                                 same_as_serial(parallel_ref);
-    const bool tick_identical =
-        same_as_serial(tick) && same_as_serial(tick_ref) &&
-        same_as_serial(par_tick) && same_as_serial(par_tick_ref);
     const bool obs_identical = same_as_serial(observed);
     const bool warm_identical =
         same_as_serial(warm_capture) && same_as_serial(warm);
     const bool identical = thread_identical && skip_identical &&
-                           tick_identical && obs_identical &&
-                           warm_identical;
+                           obs_identical && warm_identical;
     const double speedup = t_parallel > 0 ? t_serial / t_parallel : 0;
     const double skip_speedup =
         t_serial > 0 ? t_serial_ref / t_serial : 0;
-    const double tick_speedup = t_tick > 0 ? t_serial / t_tick : 0;
     std::printf("thread speedup:  %7.2fx   results %s\n", speedup,
                 thread_identical ? "bit-identical" : "DIVERGED");
     std::printf("skip speedup:    %7.2fx   results %s\n", skip_speedup,
                 skip_identical ? "bit-identical" : "DIVERGED");
-    std::printf("tick speedup:    %7.2fx   results %s\n", tick_speedup,
-                tick_identical ? "bit-identical" : "DIVERGED");
     std::printf("obs overhead:    %7.2fx   results %s\n",
                 t_serial > 0 ? t_observed / t_serial : 0,
                 obs_identical ? "bit-identical" : "DIVERGED");
@@ -317,13 +274,6 @@ main(int argc, char **argv)
            << ",\n"
            << "  \"hardware_threads\": "
            << std::thread::hardware_concurrency() << ",\n"
-           << "  \"tick_threads\": " << tick_threads << ",\n"
-           << "  \"serial_tick_seconds\": " << t_tick << ",\n"
-           << "  \"serial_tick_noskip_seconds\": " << t_tick_ref
-           << ",\n"
-           << "  \"parallel_tick_seconds\": " << t_par_tick << ",\n"
-           << "  \"parallel_tick_noskip_seconds\": " << t_par_tick_ref
-           << ",\n"
            << "  \"observed_serial_seconds\": " << t_observed << ",\n"
            << "  \"warm_start_at\": " << warm_at << ",\n"
            << "  \"warm_capture_seconds\": " << t_warm_capture << ",\n"
@@ -333,7 +283,6 @@ main(int argc, char **argv)
            << ",\n"
            << "  \"speedup\": " << speedup << ",\n"
            << "  \"clock_skip_speedup\": " << skip_speedup << ",\n"
-           << "  \"tick_speedup\": " << tick_speedup << ",\n"
            << "  \"simulated_cycles\": " << sim_cycles << ",\n"
            << "  \"serial_mcycles_per_sec\": " << mcps << ",\n"
            << "  \"identical\": " << (identical ? "true" : "false")

@@ -46,19 +46,6 @@ checkCacheGeometry(const char *name, unsigned size, unsigned assoc)
 
 } // namespace
 
-unsigned
-GpuConfig::autoTickThreads(unsigned num_sms, unsigned hardware)
-{
-    // One worker per ~16 SMs: below that the per-epoch compute slice
-    // is smaller than the dispatch + barrier cost the pool adds, which
-    // is exactly the tick_speedup < 1 the engine profiler measured on
-    // the 16-SM baseline. Bounded by the host's real core count.
-    const unsigned by_work = num_sms / 16;
-    const unsigned threads =
-        hardware < by_work ? hardware : by_work;
-    return threads >= 2 ? threads : 1;
-}
-
 void
 GpuConfig::validate() const
 {
@@ -127,13 +114,6 @@ GpuConfig::validate() const
         reject("dramRowBytes " + std::to_string(dramRowBytes) +
                " must be a non-zero multiple of the " +
                std::to_string(lineSize) + " B line size");
-    }
-
-    // ---- simulation control ----
-    if (tickThreads == 0) {
-        reject("tickThreads is 0 — use 1 for the serial tick engine "
-               "(the --tick-threads/WSL_TICK_THREADS parse layer maps "
-               "0 to the hardware concurrency before it reaches here)");
     }
 }
 

@@ -1,16 +1,14 @@
 /**
  * @file
- * The serial commit half of the two-phase tick engine. During the
- * parallel compute phase every SM and memory partition only touches
- * its own state and stages outbound traffic in per-component buffers
- * (SmCore::outgoingRequests(), MemPartition::responses()); after the
- * cycle barrier this stage drains those buffers in fixed SM-index /
- * partition-index order. Because the merge order is a function of
- * component indices alone — never of worker finish order — the
- * partition input queues and SM response queues receive exactly the
- * sequence the serial reference engine produces, which is what makes
- * tick-level parallelism bit-identical (the bench_sweep 8-way gate
- * enforces it end to end).
+ * The interconnect between the SMs' and the memory partitions' tick
+ * phases. Within a cycle every SM and memory partition ticks against
+ * its own state only and stages outbound traffic in per-component
+ * buffers (SmCore::outgoingRequests(), MemPartition::responses()); this
+ * stage then drains those buffers in fixed SM-index / partition-index
+ * order. Fixing the merge order to the component indices keeps the
+ * partition input queues and SM response queues a pure function of the
+ * machine state, and the stage's conservation counters let the
+ * integrity auditor prove no message was dropped or duplicated.
  */
 
 #ifndef WSL_GPU_STAGING_HH

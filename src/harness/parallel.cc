@@ -53,61 +53,6 @@ defaultJobs()
     return parseJobs(std::getenv("WSL_JOBS"), "WSL_JOBS");
 }
 
-unsigned
-defaultTickThreads()
-{
-    return parseJobs(std::getenv("WSL_TICK_THREADS"),
-                     "WSL_TICK_THREADS");
-}
-
-namespace {
-
-/** See tickThreadDegradations(). */
-std::atomic<std::uint64_t> tickDegradations{0};
-
-/** A clamped pool below this many threads is worker-starved: the
- *  dispatch + barrier cost exceeds what the sharded work saves, so
- *  the serial engine is strictly faster. */
-constexpr unsigned minUsefulPoolThreads = 3;
-
-} // namespace
-
-unsigned
-composeTickThreads(unsigned jobs, unsigned tick_threads)
-{
-    if (tick_threads <= 1)
-        return 1;
-    if (jobs <= 1)
-        return tick_threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) {
-        // Unknown machine: don't multiply thread counts.
-        ++tickDegradations;
-        return 1;
-    }
-    if (jobs >= hw) {
-        // Batch already saturates every core.
-        ++tickDegradations;
-        return 1;
-    }
-    const unsigned per_run = hw / jobs;
-    if (per_run >= tick_threads)
-        return tick_threads;  // the full request fits
-    if (per_run < minUsefulPoolThreads) {
-        // The clamp would hand back a starved pool; the serial engine
-        // beats it, so degrade the whole way down.
-        ++tickDegradations;
-        return 1;
-    }
-    return per_run;
-}
-
-std::uint64_t
-tickThreadDegradations()
-{
-    return tickDegradations.load(std::memory_order_relaxed);
-}
-
 void
 parallelFor(std::size_t n, unsigned jobs,
             const std::function<void(std::size_t)> &fn)

@@ -25,47 +25,6 @@ struct KernelProgram
     std::vector<Instruction> body;
     unsigned loopIters = 1;
 
-    /** Sentinel distance: unreachable (program issues no such op). */
-    static constexpr std::uint32_t distInf = 0xffffffffu;
-
-    /**
-     * distToMem[pc]: minimum warp issues — 1-indexed, counting the
-     * instruction at pc itself — before a global-memory op (load or
-     * store) can issue, minimized over every control path from pc,
-     * including the iteration wrap. A warp issuing at the maximum rate
-     * of one instruction per cycle therefore cannot push interconnect
-     * traffic before cycle t + distToMem[pc] - 1 when observed at
-     * cycle t; the fused-epoch engine uses this as a safe quiet bound.
-     * distInf when no path reaches a global-memory op.
-     */
-    std::vector<std::uint32_t> distToMem;
-
-    /**
-     * distToEnd[pc]: minimum issues (again counting pc's instruction)
-     * to complete the current iteration, i.e. the shortest path to the
-     * wrap point — divergent branches that skip ahead shorten it.
-     */
-    std::vector<std::uint32_t> distToEnd;
-
-    /** Shortest possible full iteration (distToEnd at pc 0). */
-    std::uint32_t minIterLen = 0;
-
-    /** True once computeDistanceTables() ran for the current body. */
-    bool
-    distanceTablesReady() const
-    {
-        return !body.empty() && distToMem.size() == body.size() &&
-               distToEnd.size() == body.size();
-    }
-
-    /**
-     * Populate distToMem/distToEnd/minIterLen for the current body.
-     * buildProgram() calls this for every generated kernel; manually
-     * assembled programs (unit tests) may skip it — consumers must
-     * check distanceTablesReady() and fall back to no-fuse.
-     */
-    void computeDistanceTables();
-
     /** Dynamic warp instructions one warp executes to completion. */
     std::uint64_t
     dynamicLength() const

@@ -2,7 +2,6 @@
 
 #include "gpu/gpu.hh"
 #include "harness/solo_cache.hh"
-#include "harness/tick_pool.hh"
 #include "obs/json.hh"
 #include "obs/registry.hh"
 
@@ -16,26 +15,7 @@ epochPhaseName(EpochPhase phase)
       case EpochPhase::IcntMergeRequests: return "icnt_merge_requests";
       case EpochPhase::PartitionCompute: return "partition_compute";
       case EpochPhase::IcntDeliver: return "icnt_deliver";
-      case EpochPhase::FusedCompute: return "fused_compute";
       case EpochPhase::NumPhases: break;
-    }
-    return "?";
-}
-
-const char *
-fuseCapName(FuseCap cap)
-{
-    switch (cap) {
-      case FuseCap::Policy: return "policy";
-      case FuseCap::Dispatch: return "dispatch";
-      case FuseCap::Telemetry: return "telemetry";
-      case FuseCap::Audit: return "audit";
-      case FuseCap::Watchdog: return "watchdog";
-      case FuseCap::InstTarget: return "inst_target";
-      case FuseCap::Sm: return "sm";
-      case FuseCap::Partition: return "partition";
-      case FuseCap::RunEnd: return "run_end";
-      case FuseCap::NumCaps: break;
     }
     return "?";
 }
@@ -57,25 +37,13 @@ horizonCapName(HorizonCap cap)
 }
 
 void
-EngineProfiler::harvest(Gpu &gpu)
+EngineProfiler::harvest(const Gpu &gpu)
 {
     memoHits = 0;
     schedScans = 0;
     for (unsigned s = 0; s < gpu.numSms(); ++s) {
         memoHits += gpu.sm(s).scanMemoHits();
         schedScans += gpu.sm(s).schedulerScans();
-    }
-    dispatches = 0;
-    barrierWaitNs = 0;
-    stolen = 0;
-    workerProfiles.clear();
-    if (TickPool *pool = gpu.tickPool()) {
-        const TickPoolStats &ps = pool->stats();
-        dispatches = ps.dispatches;
-        barrierWaitNs = ps.barrierWaitNs;
-        stolen = ps.stolenShares;
-        for (const TickPoolStats::Worker &w : ps.workers)
-            workerProfiles.push_back({w.busyNs, w.parks});
     }
     soloHits = SoloCache::global().hits();
     soloMisses = SoloCache::global().misses();
@@ -85,7 +53,7 @@ void
 EngineProfiler::writeJson(std::ostream &os) const
 {
     JsonValue root = JsonValue::makeObject();
-    root.set("schema", JsonValue::makeString("wslicer-profile-v1"));
+    root.set("schema", JsonValue::makeString("wslicer-profile-v2"));
 
     JsonValue phases = JsonValue::makeObject();
     for (unsigned p = 0;
@@ -103,14 +71,6 @@ EngineProfiler::writeJson(std::ostream &os) const
                      static_cast<double>(capCounts[c])));
     root.set("horizon_caps", std::move(caps));
 
-    JsonValue fuse_caps = JsonValue::makeObject();
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(FuseCap::NumCaps); ++c)
-        fuse_caps.set(fuseCapName(static_cast<FuseCap>(c)),
-                      JsonValue::makeNumber(
-                          static_cast<double>(fuseCapCounts[c])));
-    root.set("fuse_caps", std::move(fuse_caps));
-
     root.set("ticks", JsonValue::makeNumber(
                           static_cast<double>(tickCount)));
     root.set("skips", JsonValue::makeNumber(
@@ -118,32 +78,6 @@ EngineProfiler::writeJson(std::ostream &os) const
     root.set("skipped_cycles",
              JsonValue::makeNumber(
                  static_cast<double>(skippedCyclesAcc)));
-    root.set("fused_epochs",
-             JsonValue::makeNumber(
-                 static_cast<double>(fusedEpochCount)));
-    root.set("fused_cycles",
-             JsonValue::makeNumber(
-                 static_cast<double>(fusedCyclesAcc)));
-
-    JsonValue pool = JsonValue::makeObject();
-    pool.set("dispatches", JsonValue::makeNumber(
-                               static_cast<double>(dispatches)));
-    pool.set("barrier_wait_ns",
-             JsonValue::makeNumber(
-                 static_cast<double>(barrierWaitNs)));
-    pool.set("stolen_shares",
-             JsonValue::makeNumber(static_cast<double>(stolen)));
-    JsonValue workers = JsonValue::makeArray();
-    for (const WorkerProfile &w : workerProfiles) {
-        JsonValue wv = JsonValue::makeObject();
-        wv.set("busy_ns", JsonValue::makeNumber(
-                              static_cast<double>(w.busyNs)));
-        wv.set("parks", JsonValue::makeNumber(
-                            static_cast<double>(w.parks)));
-        workers.append(std::move(wv));
-    }
-    pool.set("workers", std::move(workers));
-    root.set("tick_pool", std::move(pool));
 
     root.set("scan_memo_hits",
              JsonValue::makeNumber(static_cast<double>(memoHits)));
@@ -193,54 +127,6 @@ EngineProfiler::registerCounters(CounterRegistry &registry) const
                        static_cast<double>(skippedCyclesAcc),
                        "counter",
                        "simulated cycles covered by bulk skips"});
-        for (unsigned c = 0;
-             c < static_cast<unsigned>(FuseCap::NumCaps); ++c)
-            out.push_back(
-                {"wsl_engine_fuse_caps",
-                 {{"cap", fuseCapName(static_cast<FuseCap>(c))}},
-                 static_cast<double>(fuseCapCounts[c]),
-                 "counter",
-                 "fused epochs capped, by capping component"});
-        out.push_back({"wsl_engine_fused_epochs",
-                       {},
-                       static_cast<double>(fusedEpochCount),
-                       "counter",
-                       "multi-cycle fused epochs executed"});
-        out.push_back({"wsl_engine_fused_cycles",
-                       {},
-                       static_cast<double>(fusedCyclesAcc),
-                       "counter",
-                       "simulated cycles covered by fused epochs"});
-        out.push_back({"wsl_engine_pool_dispatches",
-                       {},
-                       static_cast<double>(dispatches),
-                       "counter",
-                       "tick-pool phase dispatches"});
-        out.push_back({"wsl_engine_pool_barrier_wait_ns",
-                       {},
-                       static_cast<double>(barrierWaitNs),
-                       "counter",
-                       "dispatcher wall-clock spent at the barrier"});
-        out.push_back({"wsl_engine_pool_stolen_shares",
-                       {},
-                       static_cast<double>(stolen),
-                       "counter",
-                       "shares the dispatcher claimed and ran itself"});
-        for (std::size_t w = 0; w < workerProfiles.size(); ++w) {
-            const std::string idx = std::to_string(w);
-            out.push_back({"wsl_engine_worker_busy_ns",
-                           {{"worker", idx}},
-                           static_cast<double>(
-                               workerProfiles[w].busyNs),
-                           "counter",
-                           "per-worker wall-clock inside phases"});
-            out.push_back({"wsl_engine_worker_parks",
-                           {{"worker", idx}},
-                           static_cast<double>(
-                               workerProfiles[w].parks),
-                           "counter",
-                           "per-worker futex parks"});
-        }
     });
 }
 

@@ -5,7 +5,6 @@
 
 #include "check/auditor.hh"
 #include "gpu/gpu.hh"
-#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/solo_cache.hh"
 #include "obs/json.hh"
@@ -227,12 +226,6 @@ registerHarnessCounters(CounterRegistry &registry)
                        static_cast<double>(cache.size()),
                        "gauge",
                        "cached solo results"});
-        out.push_back({"wsl_tick_threads_degraded",
-                       {},
-                       static_cast<double>(tickThreadDegradations()),
-                       "counter",
-                       "pooled tick-thread requests degraded to the "
-                       "serial engine (worker-starved clamp)"});
         out.push_back({"wsl_batch_jobs",
                        {},
                        static_cast<double>(batchJobsRun()),

@@ -3,8 +3,8 @@
  * Unified counter/gauge registry. The simulator has grown ad-hoc
  * counters in every layer — SmStats/PartitionStats structs, the solo
  * cache's hit/miss atomics, the interconnect stage's conservation
- * totals, the auditor's audit count, the tick pool's epoch/park
- * telemetry — each with its own accessor and none exportable in a
+ * totals, the auditor's audit count, the engine profiler's phase
+ * timings — each with its own accessor and none exportable in a
  * standard format. The registry absorbs them behind one pull-model
  * interface: subsystems register *providers* (callbacks that append
  * current samples), and the exporters walk the providers only when a

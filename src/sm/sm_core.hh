@@ -114,23 +114,6 @@ class SmCore
      */
     void skipTick(Cycle now, Cycle cycles);
 
-    /**
-     * Fused-epoch quiet bound: the first absolute cycle that must NOT
-     * be inside a fused multi-cycle window starting at `now`. For
-     * every cycle c in [now, fuseQuietUntil(now)) this SM provably
-     * pushes no interconnect traffic and completes no CTA, so the GPU
-     * may run those cycles as consecutive SmCore::tick() calls with no
-     * per-cycle glue (merge, deliver, dispatch, CTA drain) in between.
-     * Derived from the programs' static issue-distance tables: a warp
-     * issues at most one instruction per cycle, so a warp at pc cannot
-     * reach a global-memory op before now + distToMem[pc] - 1 nor
-     * finish before its remaining-issue count elapses. Returns `now`
-     * (no fuse) when outgoing requests are pending, a warp's next
-     * instruction is a memory op, or a program lacks distance tables.
-     * Not const: memoizes the computed bound (engine-only state).
-     */
-    Cycle fuseQuietUntil(Cycle now);
-
     // ---- Memory-system interface (driven by the GPU object) ----
 
     /** Requests awaiting routing to memory partitions. */
@@ -385,18 +368,6 @@ class SmCore
     // Engine-meta counters (see the accessors above).
     std::uint64_t engineScanMemoHits = 0;
     std::uint64_t engineSchedScans = 0;
-
-    // Fused-epoch bound memo (engine-only; never feeds simulated
-    // state). The memoized absolute bound stays a valid lower bound as
-    // warps advance — execution can only be slower than the 1
-    // issue/cycle the bound assumes — so it lives until a CTA launch
-    // or eviction introduces warps it never saw. fuseRetryAt throttles
-    // recomputation while the bound is too tight to fuse (e.g. a warp
-    // parked on a memory instruction), so failed fuse attempts don't
-    // re-scan every warp every cycle.
-    Cycle fuseBoundAt = 0;
-    bool fuseBoundValid = false;
-    Cycle fuseRetryAt = 0;
 
     std::vector<KernelId> ctaCompletions;
     SmStats smStats;

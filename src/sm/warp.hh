@@ -51,8 +51,7 @@ struct WarpState
      * writebacks from the slot's previous occupant stay dead) and the
      * divStack heap buffer (clear() keeps capacity, so steady-state
      * CTA launch allocates nothing — `w = WarpState{}` would free and
-     * re-grow it every time, allocator churn the thread-sharded tick
-     * engine turns into contention). Any field added above must be
+     * re-grow it every time). Any field added above must be
      * restored here too, and hot fields in WarpHot::reset().
      */
     void

@@ -5,7 +5,7 @@
  * written; each component has a save/load pair whose field order is
  * the layout contract (guarded by section tags at the top level and a
  * full-consumption check at the end). The engine memos — scheduler
- * scan caches, fuse bounds, DRAM horizon memos, dispatch saturation
+ * scan caches, DRAM horizon memos, dispatch saturation
  * flags — are serialized rather than reset so a restored run takes
  * the exact same engine path (skipTick replays stall charges from the
  * scan memos) as a run that never stopped.
@@ -559,10 +559,6 @@ struct SnapshotAccess
             w.u8(static_cast<std::uint8_t>(e.culprit));
         }
 
-        w.u64(s.fuseBoundAt);
-        w.b(s.fuseBoundValid);
-        w.u64(s.fuseRetryAt);
-
         w.u32(static_cast<std::uint32_t>(s.ctaCompletions.size()));
         for (const KernelId kid : s.ctaCompletions)
             w.i32(kid);
@@ -764,10 +760,6 @@ struct SnapshotAccess
             e.culprit = static_cast<std::int8_t>(r.u8());
         }
 
-        s.fuseBoundAt = r.u64();
-        s.fuseBoundValid = r.b();
-        s.fuseRetryAt = r.u64();
-
         s.ctaCompletions.resize(r.u32());
         for (KernelId &kid : s.ctaCompletions)
             kid = r.i32();
@@ -839,7 +831,6 @@ struct SnapshotAccess
         w.b(gpu.dispatchBlocked);
         w.u64(gpu.dispatchBlockedUntil);
         w.b(gpu.policyDirty);
-        w.u64(gpu.fuseRetryAt);
 
         w.tag("ENDS");
         return w.take();
@@ -927,7 +918,6 @@ struct SnapshotAccess
         gpu.dispatchBlocked = r.b();
         gpu.dispatchBlockedUntil = r.u64();
         gpu.policyDirty = r.b();
-        gpu.fuseRetryAt = r.u64();
 
         r.tag("ENDS");
         r.finish();
@@ -952,13 +942,12 @@ std::string
 snapshotMachineFingerprint(const GpuConfig &cfg)
 {
     // Canonicalize the knobs that cannot change simulated state:
-    // engine variants are bit-identical at tick boundaries, audits
-    // and the watchdog are read-only. The format version rides along
+    // clock skipping is bit-identical at tick boundaries, audits and
+    // the watchdog are read-only. The format version rides along
     // so layout changes invalidate old fingerprints everywhere at
     // once (snapshot files AND warm-start cache keys).
     GpuConfig canon = cfg;
     canon.clockSkip = true;
-    canon.tickThreads = 1;
     canon.auditCadence = 0;
     canon.watchdogCycles = 0;
     return configFingerprint(canon) +

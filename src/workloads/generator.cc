@@ -181,7 +181,6 @@ buildProgram(const KernelParams &params)
         prog.body.push_back(bar);
     }
     prog.validate();
-    prog.computeDistanceTables();
     return prog;
 }
 

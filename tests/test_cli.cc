@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace {
 
 /** Locate the driver relative to common working directories. */
@@ -141,5 +143,31 @@ TEST(Cli, ZeroAuditCadenceIsRejected)
     REQUIRE_CLI();
     const auto [status, out] = run("solo IMG --cycles 1000 --audit=0");
     EXPECT_NE(status, 0);
+    EXPECT_NE(out.find("usage"), std::string::npos);
+}
+
+TEST(Cli, MalformedNumericFlagsAreRejected)
+{
+    REQUIRE_CLI();
+    // Each must stop the run: read leniently, "2000x" would run 2000
+    // cycles and "abc" would silently turn telemetry off.
+    for (const char *flags :
+         {"--window 2000x", "--stats-interval abc", "--window ''",
+          "--window 99999999999999999999", "--ctas 3.5",
+          "--policy fixed:4,x"}) {
+        const auto [status, out] =
+            run(std::string("corun MM BFS --window 2000 ") + flags);
+        ASSERT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+        EXPECT_NE(out.find("usage"), std::string::npos) << flags;
+    }
+}
+
+TEST(Cli, UnknownSchedulerIsRejected)
+{
+    REQUIRE_CLI();
+    const auto [status, out] = run("corun MM BFS --window 2000 --sched bogus");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
     EXPECT_NE(out.find("usage"), std::string::npos);
 }

@@ -45,12 +45,15 @@
  * threads); results are bit-identical to serial runs.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
@@ -108,9 +111,6 @@ struct Options
     unsigned chaosFaults = 6;
     std::string sloPath;          //!< SLO JSON report
     unsigned jobs = defaultJobs();  //!< worker threads (WSL_JOBS)
-    /** Intra-run tick threads (WSL_TICK_THREADS); composed against
-     *  --jobs by the batch paths so the two never oversubscribe. */
-    unsigned tickThreads = defaultTickThreads();
 };
 
 [[noreturn]] void
@@ -121,14 +121,11 @@ usage(const char *argv0)
                  "corun B1 B2 [B3] | combos B1 B2 | serve [options]\n"
                  "options: --cycles N --window N --ctas Q --large\n"
                  "         --preset baseline|large|dc (dc: 128 SMs / "
-                 "32 partitions, engine-scaling machine)\n"
+                 "32 partitions; not a paper machine)\n"
                  "         --policy leftover|spatial|even|dynamic|"
                  "fixed:Q1,Q2[,Q3]\n"
                  "         --sched gto|lrr --csv FILE --json FILE --trace FILE\n"
                  "         --stats-interval N --timeline FILE --jobs N\n"
-                 "         --tick-threads N|auto (shard each run's "
-                 "SM/partition ticks over N threads; bit-identical; "
-                 "auto picks serial vs pooled from the machine)\n"
                  "         --no-skip (disable event-horizon clock "
                  "skipping; bit-identical, slower)\n"
                  "         --audit[=N] (run integrity audits every N "
@@ -151,6 +148,31 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/**
+ * Parse an entire option value as a T (an integer type, or double for
+ * --rate). Empty input, a non-numeric value, trailing characters, a
+ * sign on an unsigned type, overflow and non-finite reals all print
+ * what was wrong and exit through usage().
+ */
+template <typename T>
+T
+parseNumber(const std::string &text, const char *what)
+{
+    T value{};
+    const char *first = text.data();
+    const char *last = first + text.size();
+    const auto [end, ec] = std::from_chars(first, last, value);
+    bool ok = ec == std::errc{} && end == last;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::fprintf(stderr, "wslicer-sim: %s: '%s' is not a valid "
+                     "number\n", what, text.c_str());
+        usage("wslicer-sim");
+    }
+    return value;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -165,16 +187,25 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // The next argument as a number of type T (see parseNumber).
+        auto num = [&]<typename T>(T &out) {
+            out = parseNumber<T>(next(), arg.c_str());
+        };
         if (arg == "--cycles" || arg == "--window")
-            opt.cycles = std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.cycles);
         else if (arg == "--ctas")
-            opt.ctas = std::atoi(next().c_str());
+            num(opt.ctas);
         else if (arg == "--policy")
             opt.policy = next();
-        else if (arg == "--sched")
-            opt.sched = next() == "lrr" ? SchedulerKind::Lrr
-                                        : SchedulerKind::Gto;
-        else if (arg == "--large")
+        else if (arg == "--sched") {
+            const std::string v = next();
+            if (v == "gto")
+                opt.sched = SchedulerKind::Gto;
+            else if (v == "lrr")
+                opt.sched = SchedulerKind::Lrr;
+            else
+                usage(argv[0]);
+        } else if (arg == "--large")
             opt.large = true;
         else if (arg == "--preset")
             opt.preset = next();
@@ -183,13 +214,11 @@ parseArgs(int argc, char **argv)
         else if (arg == "--audit")
             opt.auditCadence = 10'000;
         else if (arg.rfind("--audit=", 0) == 0) {
-            opt.auditCadence =
-                std::strtoull(arg.c_str() + 8, nullptr, 10);
+            opt.auditCadence = parseNumber<Cycle>(arg.substr(8), "--audit");
             if (opt.auditCadence == 0)
                 usage(argv[0]);
         } else if (arg == "--watchdog-cycles") {
-            opt.watchdogCycles =
-                std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.watchdogCycles);
             if (opt.watchdogCycles == 0)
                 usage(argv[0]);
         }
@@ -206,13 +235,11 @@ parseArgs(int argc, char **argv)
         else if (arg == "--snapshot")
             opt.snapshotPath = next();
         else if (arg == "--snapshot-at") {
-            opt.snapshotAt =
-                std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.snapshotAt);
             if (opt.snapshotAt == 0)
                 usage(argv[0]);
         } else if (arg == "--checkpoint-every") {
-            opt.checkpointEvery =
-                std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.checkpointEvery);
             if (opt.checkpointEvery == 0)
                 usage(argv[0]);
         } else if (arg == "--restore")
@@ -220,36 +247,27 @@ parseArgs(int argc, char **argv)
         else if (arg == "--timeline")
             opt.timelinePath = next();
         else if (arg == "--stats-interval")
-            opt.statsInterval =
-                std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.statsInterval);
         else if (arg == "--jobs")
             opt.jobs = parseJobs(next().c_str(), "--jobs");
-        else if (arg == "--tick-threads") {
-            const std::string v = next();
-            opt.tickThreads =
-                v == "auto" ? GpuConfig::tickThreadsAuto
-                            : parseJobs(v.c_str(), "--tick-threads");
-        }
         else if (arg == "--rate")
-            opt.rate = std::strtod(next().c_str(), nullptr);
+            num(opt.rate);
         else if (arg == "--closed-loop")
             opt.closedLoop = true;
         else if (arg == "--horizon")
-            opt.horizon = std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.horizon);
         else if (arg == "--quantum")
-            opt.quantum = std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.quantum);
         else if (arg == "--max-batch")
-            opt.maxBatch = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            num(opt.maxBatch);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.seed);
         else if (arg == "--chaos-seed") {
-            opt.chaosSeed = std::strtoull(next().c_str(), nullptr, 10);
+            num(opt.chaosSeed);
             if (opt.chaosSeed == 0)
                 usage(argv[0]);
         } else if (arg == "--chaos-faults")
-            opt.chaosFaults = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            num(opt.chaosFaults);
         else if (arg == "--slo")
             opt.sloPath = next();
         else if (arg == "--csv")
@@ -286,7 +304,6 @@ makeConfig(const Options &opt)
     cfg.clockSkip = !opt.noSkip;
     cfg.auditCadence = opt.auditCadence;
     cfg.watchdogCycles = opt.watchdogCycles;
-    cfg.tickThreads = opt.tickThreads;
     // Fail here with an actionable message, not deep in construction.
     cfg.validate();
     return cfg;
@@ -393,7 +410,7 @@ parseFixedPolicy(const std::string &policy, std::size_t num_apps)
             rest.substr(pos, comma == std::string::npos
                                  ? std::string::npos
                                  : comma - pos);
-        quotas.push_back(std::atoi(tok.c_str()));
+        quotas.push_back(parseNumber<int>(tok, "--policy fixed:"));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -410,20 +427,14 @@ cmdCorun(const Options &opt)
         usage("wslicer-sim");
     const GpuConfig cfg = makeConfig(opt);
     const Cycle window = opt.cycles ? opt.cycles : defaultWindow();
-    Characterization chars(cfg, window);
-    chars.prewarm(opt.benchNames, opt.jobs);
 
-    std::vector<KernelParams> apps;
-    std::vector<std::uint64_t> targets;
-    for (const std::string &name : opt.benchNames) {
-        apps.push_back(benchmark(name));
-        targets.push_back(chars.target(name));
-    }
-
+    // Resolve the policy before characterizing, so a malformed one
+    // fails without simulating anything.
     CoRunOptions co;
     co.slicer = scaledSlicerOptions(window);
     PolicyKind kind = PolicyKind::Dynamic;
-    if (const auto fixed = parseFixedPolicy(opt.policy, apps.size())) {
+    if (const auto fixed =
+            parseFixedPolicy(opt.policy, opt.benchNames.size())) {
         co.fixedQuotas = *fixed;
         kind = PolicyKind::LeftOver;
     } else if (opt.policy == "leftover") {
@@ -436,6 +447,16 @@ cmdCorun(const Options &opt)
         kind = PolicyKind::Dynamic;
     } else {
         fatal("unknown policy: ", opt.policy);
+    }
+
+    Characterization chars(cfg, window);
+    chars.prewarm(opt.benchNames, opt.jobs);
+
+    std::vector<KernelParams> apps;
+    std::vector<std::uint64_t> targets;
+    for (const std::string &name : opt.benchNames) {
+        apps.push_back(benchmark(name));
+        targets.push_back(chars.target(name));
     }
 
     TelemetrySampler sampler(TelemetryConfig{opt.statsInterval, 4096});
