@@ -4,16 +4,12 @@
  * tick costs (SM core under load, DRAM channel under FR-FCFS load,
  * idle memory partition, idle whole-GPU tick) and reports end-to-end
  * simulation throughput in cycles/second for a compute-bound (MM) and
- * a memory-stalled (LBM) workload, each with event-horizon clock
- * skipping enabled and disabled (results are bit-identical by
- * construction; only wall clock changes).
+ * a memory-stalled (LBM) workload.
  *
  * Usage: bench_hotpath [--out FILE]   (default BENCH_hotpath.json)
  *
- * Component costs are measured with clockSkip off so every cycle is
- * actually ticked; the throughput section shows what skipping adds on
- * top. Numbers are wall-clock and machine-dependent: the JSON is a
- * tracking artifact, not a correctness gate.
+ * Numbers are wall-clock and machine-dependent: the JSON is a tracking
+ * artifact, not a correctness gate.
  */
 
 #include <chrono>
@@ -53,11 +49,10 @@ struct RunCost
 /** Simulate `window` cycles of one kernel on `sms` SMs / `parts`
  *  partitions and return simulated cycles + wall seconds. */
 RunCost
-runWorkload(const char *bench, Cycle window, bool skip, unsigned sms,
+runWorkload(const char *bench, Cycle window, unsigned sms,
             unsigned parts)
 {
     GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = skip;
     cfg.numSms = sms;
     cfg.numMemPartitions = parts;
     Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
@@ -71,9 +66,7 @@ runWorkload(const char *bench, Cycle window, bool skip, unsigned sms,
 double
 idleGpuTickNs(Cycle window)
 {
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = false;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
+    Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
     const auto t0 = std::chrono::steady_clock::now();
     gpu.run(window);
     return seconds(t0) * 1e9 / static_cast<double>(window);
@@ -133,46 +126,40 @@ main(int argc, char **argv)
     constexpr Cycle window = 200000;
     constexpr Cycle micro_window = 2000000;
 
-    // Per-component tick costs (clock skipping off throughout).
+    // Per-component tick costs.
     const double idle_ns = idleGpuTickNs(window);
     const double dram_ns = dramTickNsLoaded(micro_window);
     const double part_ns = partitionTickNsIdle(micro_window);
     // Single-SM runs put one loaded core plus one partition on the
     // critical path, isolating SmCore::tick without the other 15.
-    const RunCost sm_compute = runWorkload("MM", window, false, 1, 1);
-    const RunCost sm_memory = runWorkload("LBM", window, false, 1, 1);
+    const RunCost sm_compute = runWorkload("MM", window, 1, 1);
+    const RunCost sm_memory = runWorkload("LBM", window, 1, 1);
     const double sm_compute_ns =
         sm_compute.secs * 1e9 / static_cast<double>(sm_compute.cycles);
     const double sm_memory_ns =
         sm_memory.secs * 1e9 / static_cast<double>(sm_memory.cycles);
 
-    std::printf("component tick costs (no clock skipping):\n");
+    std::printf("component tick costs:\n");
     std::printf("  idle GPU tick:        %8.1f ns\n", idle_ns);
     std::printf("  SM tick (MM, 1 SM):   %8.1f ns\n", sm_compute_ns);
     std::printf("  SM tick (LBM, 1 SM):  %8.1f ns\n", sm_memory_ns);
     std::printf("  DRAM channel, loaded: %8.1f ns\n", dram_ns);
     std::printf("  partition, idle:      %8.1f ns\n", part_ns);
 
-    // End-to-end throughput, full 16-SM GPU, skip vs no-skip.
+    // End-to-end throughput, full 16-SM GPU.
     struct Row
     {
         const char *label;
         const char *bench;
-        RunCost skip, noskip;
+        RunCost cost;
     };
-    Row rows[] = {{"compute", "MM", {}, {}},
-                  {"memory", "LBM", {}, {}}};
+    Row rows[] = {{"compute", "MM", {}}, {"memory", "LBM", {}}};
     const GpuConfig base = GpuConfig::baseline();
     for (Row &r : rows) {
-        r.skip = runWorkload(r.bench, window, true, base.numSms,
+        r.cost = runWorkload(r.bench, window, base.numSms,
                              base.numMemPartitions);
-        r.noskip = runWorkload(r.bench, window, false, base.numSms,
-                               base.numMemPartitions);
-        std::printf("%s (%s): %.2f Mcyc/s skipping, %.2f Mcyc/s "
-                    "per-cycle\n",
-                    r.label, r.bench,
-                    r.skip.cycles / r.skip.secs / 1e6,
-                    r.noskip.cycles / r.noskip.secs / 1e6);
+        std::printf("%s (%s): %.2f Mcyc/s\n", r.label, r.bench,
+                    r.cost.cycles / r.cost.secs / 1e6);
     }
 
     std::ofstream os(out_path);
@@ -195,13 +182,10 @@ main(int argc, char **argv)
         const Row &r = rows[i];
         os << "    \"" << r.label << "\": {\n"
            << "      \"bench\": \"" << r.bench << "\",\n"
-           << "      \"cycles\": " << r.skip.cycles << ",\n"
-           << "      \"seconds_skip\": " << r.skip.secs << ",\n"
-           << "      \"cycles_per_sec_skip\": "
-           << r.skip.cycles / r.skip.secs << ",\n"
-           << "      \"seconds_noskip\": " << r.noskip.secs << ",\n"
-           << "      \"cycles_per_sec_noskip\": "
-           << r.noskip.cycles / r.noskip.secs << "\n"
+           << "      \"cycles\": " << r.cost.cycles << ",\n"
+           << "      \"seconds\": " << r.cost.secs << ",\n"
+           << "      \"cycles_per_sec\": "
+           << r.cost.cycles / r.cost.secs << "\n"
            << "    }" << (i == 0 ? "," : "") << "\n";
     }
     os << "  }\n}\n";

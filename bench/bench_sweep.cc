@@ -1,18 +1,14 @@
 /**
  * @file
  * Wall-clock benchmark and correctness gate for the experiment engine:
- * runs the full 30-pair x 4-policy evaluation matrix four ways —
- * {serial, `--jobs` worker threads} x {event-horizon clock skipping
- * on, off} — plus a fifth pass with the full observability layer
- * attached (engine profiler on every job, decision log on the Dynamic
- * jobs, registry exporters exercised afterwards) and two warm-start
- * passes (one populating the process-wide SnapshotCache with each
- * job's prefix snapshot, one replaying the whole matrix from those
- * cached snapshots), verifies all seven result sets are
- * bit-identical, and reports the speedups. This is the gate that lets
- * clock skipping, batch parallelism, the observability layer, and the
- * snapshot warm-start path all claim "pure performance toggle" /
- * "pure observer".
+ * runs the full 30-pair x 4-policy evaluation matrix three ways —
+ * serially, on `--jobs` worker threads, and serially with the full
+ * observability layer attached (engine profiler on every job, decision
+ * log on the Dynamic jobs, registry exporters exercised afterwards) —
+ * verifies the three result sets are bit-identical, and reports the
+ * thread speedup. This is the gate that lets batch parallelism claim
+ * "pure performance toggle" and the observability layer "pure
+ * observer".
  *
  * Usage: bench_sweep [--quick] [--jobs N] [--out FILE]
  *   --quick   evaluate only the first 6 pairs (CI-sized)
@@ -20,8 +16,9 @@
  *             0 = all hardware threads)
  *   --out F   JSON report path (default BENCH_sweep.json)
  *
- * The solo-characterization cache is cleared before each pass so both
- * measure the complete pipeline (characterization + co-run matrix).
+ * The solo-characterization cache is cleared before each pass so every
+ * pass measures the complete pipeline (characterization + co-run
+ * matrix).
  */
 
 #include <chrono>
@@ -35,12 +32,10 @@
 
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
-#include "harness/snapshot_cache.hh"
 #include "harness/solo_cache.hh"
 #include "obs/decision_log.hh"
 #include "obs/engine_profiler.hh"
 #include "obs/registry.hh"
-#include "snapshot/format.hh"
 
 using namespace wsl;
 
@@ -113,11 +108,8 @@ main(int argc, char **argv)
     }
 
     const GpuConfig cfg = GpuConfig::baseline();
-    GpuConfig cfg_noskip = cfg;
-    cfg_noskip.clockSkip = false;
     const Cycle window = defaultWindow();
     Characterization chars(cfg, window);
-    Characterization chars_noskip(cfg_noskip, window);
 
     std::vector<WorkloadPair> pairs = evaluationPairs();
     if (quick && pairs.size() > 6)
@@ -142,20 +134,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(window));
 
     std::vector<CoRunResult> serial, parallel;
-    std::vector<CoRunResult> serial_ref, parallel_ref;
     const double t_serial = timedRun(chars, batch, 1, serial);
     std::printf("serial:            %7.2fs (1 thread)\n", t_serial);
     const double t_parallel = timedRun(chars, batch, jobs, parallel);
     std::printf("parallel:          %7.2fs (%u threads)\n", t_parallel,
                 jobs);
-    const double t_serial_ref =
-        timedRun(chars_noskip, batch, 1, serial_ref);
-    std::printf("serial no-skip:    %7.2fs (1 thread)\n", t_serial_ref);
-    const double t_parallel_ref =
-        timedRun(chars_noskip, batch, jobs, parallel_ref);
-    std::printf("parallel no-skip:  %7.2fs (%u threads)\n",
-                t_parallel_ref, jobs);
-    // Fifth pass: full observability attached. The profiler and
+    // Third pass: full observability attached. The profiler and
     // decision log only observe, so simulated results must still be
     // bit-identical to the plain serial pass.
     std::vector<EngineProfiler> profilers(batch.size());
@@ -171,35 +155,6 @@ main(int argc, char **argv)
         timedRun(chars, observed_batch, 1, observed);
     std::printf("observed serial:   %7.2fs (1 thread, profiler + "
                 "decision log)\n", t_observed);
-
-    // Warm-start passes: every job forks from a snapshot of its own
-    // launch-through-window/2 prefix. The capture pass populates the
-    // process-wide SnapshotCache (each prefix simulated once, then
-    // restored — roughly serial cost plus serialization overhead);
-    // the second pass hits the cache for every job and skips the
-    // prefix simulation outright. Both must stay bit-identical to the
-    // cold serial pass — that is the snapshot engine's restore
-    // guarantee under load.
-    const Cycle warm_at = window / 2;
-    std::vector<CoRunJob> warm_batch = batch;
-    for (CoRunJob &job : warm_batch) {
-        job.opts.warmStart = &SnapshotCache::global();
-        job.opts.warmStartAt = warm_at;
-    }
-    SnapshotCache::global().clear();
-    std::vector<CoRunResult> warm_capture, warm;
-    const double t_warm_capture =
-        timedRun(chars, warm_batch, 1, warm_capture);
-    std::printf("warm capture:      %7.2fs (1 thread, %llu prefix "
-                "snapshots)\n", t_warm_capture,
-                static_cast<unsigned long long>(
-                    SnapshotCache::global().misses()));
-    const double t_warm = timedRun(chars, warm_batch, 1, warm);
-    std::printf("warm start:        %7.2fs (1 thread, %llu cache "
-                "hits)\n", t_warm,
-                static_cast<unsigned long long>(
-                    SnapshotCache::global().hits()));
-    SnapshotCache::global().clear();
     // Pull-model registry: sampling happens only here, at export.
     {
         CounterRegistry registry;
@@ -213,11 +168,9 @@ main(int argc, char **argv)
         registry.writePrometheus(sink);
     }
 
-    // All seven passes must agree byte for byte: batch parallelism
-    // may not perturb results, event-horizon skipping must be
-    // invisible next to the per-cycle reference loop, the
-    // observability layer must be a pure observer, and warm starts
-    // must continue exactly where the prefix left off.
+    // All three passes must agree byte for byte: batch parallelism
+    // may not perturb results, and the observability layer must be a
+    // pure observer.
     auto same_as_serial = [&](const std::vector<CoRunResult> &other) {
         if (other.size() != serial.size())
             return false;
@@ -227,26 +180,14 @@ main(int argc, char **argv)
         return true;
     };
     const bool thread_identical = same_as_serial(parallel);
-    const bool skip_identical = same_as_serial(serial_ref) &&
-                                same_as_serial(parallel_ref);
     const bool obs_identical = same_as_serial(observed);
-    const bool warm_identical =
-        same_as_serial(warm_capture) && same_as_serial(warm);
-    const bool identical = thread_identical && skip_identical &&
-                           obs_identical && warm_identical;
+    const bool identical = thread_identical && obs_identical;
     const double speedup = t_parallel > 0 ? t_serial / t_parallel : 0;
-    const double skip_speedup =
-        t_serial > 0 ? t_serial_ref / t_serial : 0;
     std::printf("thread speedup:  %7.2fx   results %s\n", speedup,
                 thread_identical ? "bit-identical" : "DIVERGED");
-    std::printf("skip speedup:    %7.2fx   results %s\n", skip_speedup,
-                skip_identical ? "bit-identical" : "DIVERGED");
     std::printf("obs overhead:    %7.2fx   results %s\n",
                 t_serial > 0 ? t_observed / t_serial : 0,
                 obs_identical ? "bit-identical" : "DIVERGED");
-    const double warm_speedup = t_warm > 0 ? t_serial / t_warm : 0;
-    std::printf("warm speedup:    %7.2fx   results %s\n", warm_speedup,
-                warm_identical ? "bit-identical" : "DIVERGED");
 
     // Serial co-run throughput in simulated Mcycles/s: to first order
     // window- and pair-count-invariant, so a --quick CI run can be
@@ -269,20 +210,10 @@ main(int argc, char **argv)
            << "  \"threads\": " << jobs << ",\n"
            << "  \"serial_seconds\": " << t_serial << ",\n"
            << "  \"parallel_seconds\": " << t_parallel << ",\n"
-           << "  \"serial_noskip_seconds\": " << t_serial_ref << ",\n"
-           << "  \"parallel_noskip_seconds\": " << t_parallel_ref
-           << ",\n"
            << "  \"hardware_threads\": "
            << std::thread::hardware_concurrency() << ",\n"
            << "  \"observed_serial_seconds\": " << t_observed << ",\n"
-           << "  \"warm_start_at\": " << warm_at << ",\n"
-           << "  \"warm_capture_seconds\": " << t_warm_capture << ",\n"
-           << "  \"warm_start_seconds\": " << t_warm << ",\n"
-           << "  \"warm_start_speedup\": " << warm_speedup << ",\n"
-           << "  \"snapshot_format_version\": " << snapshotFormatVersion
-           << ",\n"
            << "  \"speedup\": " << speedup << ",\n"
-           << "  \"clock_skip_speedup\": " << skip_speedup << ",\n"
            << "  \"simulated_cycles\": " << sim_cycles << ",\n"
            << "  \"serial_mcycles_per_sec\": " << mcps << ",\n"
            << "  \"identical\": " << (identical ? "true" : "false")

@@ -8,12 +8,8 @@
  * audit throws InvariantViolation naming every failed check.
  *
  * Audits are scheduled from Gpu::run() *after* the tick for a cycle
- * completes, and the audit clock never pins the event horizon: with
- * clock skipping, state is constant across a skipped stretch, so
- * auditing the machine once at the next real event is exactly as
- * strong as auditing every skipped cycle would have been. Audits
- * therefore cost nothing in skipped regions and never defeat the
- * skipping machinery.
+ * completes: the first after the first tick, then one every `cadence`
+ * cycles.
  */
 
 #ifndef WSL_CHECK_AUDITOR_HH

@@ -83,11 +83,6 @@ struct GpuConfig
 
     // ---- Simulation control ----
     std::uint64_t seed = 1;
-    /** Event-horizon clock skipping in Gpu::run() — the tick engine's
-     *  only mode switch. Pure performance toggle: results are
-     *  bit-identical either way (the bench_sweep gate enforces this);
-     *  false forces the per-cycle reference loop. */
-    bool clockSkip = true;
 
     // ---- Integrity layer (check/) ----
     /** Invariant-audit cadence in cycles; 0 disables audits. Audits

@@ -16,7 +16,7 @@ using Cycle = std::uint64_t;
 /** Byte address in the simulated global memory space. */
 using Addr = std::uint64_t;
 
-/** Sentinel cycle meaning "no event pending" for event horizons. */
+/** Sentinel cycle meaning "no event pending". */
 constexpr Cycle neverCycle = ~Cycle{0};
 
 /** Index of a kernel instance in the GPU's kernel table. */

@@ -118,7 +118,8 @@ class TimeSlicePolicy : public SlicingPolicy
     bool timeInvariant() const override { return false; }
 
     /** The owner only rotates at slice boundaries (the live set is
-     *  constant between kernel-set changes, which force a tick). */
+     *  constant between kernel-set changes, which re-arm the GPU's
+     *  dispatch scan). */
     Cycle
     nextDecisionAt(Cycle now) const override
     {

@@ -444,8 +444,8 @@ Cycle
 WarpedSlicerPolicy::nextDecisionAt(Cycle now) const
 {
     // Each phase acts only at its boundary; every tick strictly before
-    // it is a no-op. A boundary at or before `now` disables skipping
-    // (the pending action runs on the next tick).
+    // it is a no-op. A boundary at or before `now` means the pending
+    // action runs on the next tick.
     switch (currentPhase) {
       case Phase::Idle:
         return neverCycle;

@@ -1,7 +1,5 @@
 #include "gpu/gpu.hh"
 
-#include <algorithm>
-
 #include "check/watchdog.hh"
 #include "common/log.hh"
 #include "obs/engine_profiler.hh"
@@ -52,7 +50,6 @@ Gpu::launchKernel(const KernelParams &params, std::uint64_t inst_target)
     kernels.push_back(std::move(inst));
     ctaDispatchDirty = true;
     dispatchBlocked = false;
-    policyDirty = true;
     policy->onKernelSetChanged(*this, now);
     return kernels.back()->id;
 }
@@ -73,7 +70,6 @@ Gpu::haltKernel(KernelId kid)
         sm_ptr->evictKernel(k.id);
     ctaDispatchDirty = true;
     dispatchBlocked = false;
-    policyDirty = true;
     policy->onKernelSetChanged(*this, now);
 }
 
@@ -152,9 +148,9 @@ Gpu::tickSms()
 {
     for (auto &sm_ptr : sms) {
         // A drained core can only burn Idle slots this cycle; account
-        // them in bulk instead of running the pipeline stages.
+        // them without running the pipeline stages.
         if (sm_ptr->quiescent(now))
-            sm_ptr->skipTick(now, 1);
+            sm_ptr->idleTick();
         else
             sm_ptr->tick(now);
     }
@@ -219,7 +215,6 @@ Gpu::checkKernelProgress()
     if (set_changed) {
         ctaDispatchDirty = true;
         dispatchBlocked = false;
-        policyDirty = true;
         policy->onKernelSetChanged(*this, now);
     }
 }
@@ -227,7 +222,6 @@ Gpu::checkKernelProgress()
 void
 Gpu::tick()
 {
-    policyDirty = false;
     policy->tick(*this, now);
     dispatch();
     // Compute phases (tickSms/tickPartitions) touch only
@@ -282,79 +276,6 @@ Gpu::attachEngineProfiler(EngineProfiler *profiler)
     prof = profiler;
 }
 
-Cycle
-Gpu::nextHorizon(Cycle end)
-{
-    // A kernel-set change this tick may have shifted temporal policy
-    // state (e.g. the TimeSlice owner); run one un-skipped tick so the
-    // policy observes it before the clock jumps.
-    if (policyDirty) {
-        if (prof)
-            pendingCap = HorizonCap::PolicyDirty;
-        return now;
-    }
-    const Cycle policy_next = policy->nextDecisionAt(now);
-    Cycle h = std::min(end, policy_next);
-    if (prof)
-        pendingCap = policy_next <= end ? HorizonCap::Policy
-                                        : HorizonCap::RunEnd;
-    if (h <= now)
-        return now;
-    if (telem) {
-        // onCycleEnd fires during the tick of cycle nextSampleAt()-1
-        // (it tests the post-increment clock), so that cycle must be
-        // ticked, not skipped.
-        const Cycle sample = telem->nextSampleAt();
-        if (sample <= now + 1) {
-            if (prof)
-                pendingCap = HorizonCap::Telemetry;
-            return now;
-        }
-        if (sample - 1 < h) {
-            h = sample - 1;
-            if (prof)
-                pendingCap = HorizonCap::Telemetry;
-        }
-    }
-    for (const auto &sm_ptr : sms) {
-        const Cycle e = sm_ptr->nextEventAt(now);
-        if (e <= now) {
-            if (prof)
-                pendingCap = HorizonCap::Sm;
-            return now;
-        }
-        if (e < h) {
-            h = e;
-            if (prof)
-                pendingCap = HorizonCap::Sm;
-        }
-    }
-    for (const auto &part : partitions) {
-        const Cycle e = part->nextEventAt(now);
-        if (e <= now) {
-            if (prof)
-                pendingCap = HorizonCap::Partition;
-            return now;
-        }
-        if (e < h) {
-            h = e;
-            if (prof)
-                pendingCap = HorizonCap::Partition;
-        }
-    }
-    return h;
-}
-
-void
-Gpu::bulkSkip(Cycle cycles)
-{
-    for (auto &sm_ptr : sms)
-        sm_ptr->skipTick(now, cycles);
-    for (auto &part : partitions)
-        part->skipTick(cycles);
-    now += cycles;
-}
-
 std::uint64_t
 Gpu::progressSignature() const
 {
@@ -406,7 +327,6 @@ Gpu::run(Cycle max_cycles)
     SimContextGuard errorContext(&now);
     const Cycle start = now;
     const Cycle end = now + max_cycles;
-    const bool skipping = cfg.clockSkip;
     const Cycle wd = cfg.watchdogCycles;
     if (wd != 0) {
         lastProgressCycle = now;
@@ -414,45 +334,10 @@ Gpu::run(Cycle max_cycles)
     }
     while (now < end && !allKernelsDone()) {
         tick();
-        // Audits run post-tick. Skipped stretches are provably
-        // eventless, so state at the next real event equals state at
-        // every skipped cycle: auditing there loses nothing, and the
-        // audit clock never pins the horizon.
         if (auditor && now >= auditor->nextAuditAt())
             auditor->runChecks(*this);
         if (wd != 0)
             checkWatchdog();
-        if (!skipping || now >= end)
-            continue;
-        // Safe even when the tick just completed the last kernel:
-        // every completion sets policyDirty, pinning the horizon to
-        // `now` so no cycles are skipped past the finish.
-        Cycle h = nextHorizon(end);
-        // A deadlocked machine reports a far (or never) horizon; cap
-        // the jump at the watchdog deadline so it cannot bulk-skip
-        // straight past detection to max_cycles. Prefix windows of a
-        // skippable stretch are always themselves skippable, so the
-        // cap is safe.
-        if (wd != 0) {
-            const Cycle deadline = lastProgressCycle + wd;
-            if (deadline < h) {
-                h = deadline;
-                if (prof)
-                    pendingCap = HorizonCap::WatchdogDeadline;
-            }
-        }
-        if (prof)
-            prof->onHorizonCap(pendingCap);
-        if (h > now) {
-            if (prof)
-                prof->onSkip(h - now);
-            bulkSkip(h - now);
-            // The skipped cycles are eventless, so the per-cycle loop's
-            // checks across them reduce to one at the landing cycle,
-            // which the cap above keeps at or before the deadline.
-            if (wd != 0)
-                checkWatchdog();
-        }
     }
     return now - start;
 }

@@ -24,7 +24,6 @@
 namespace wsl {
 
 class EngineProfiler;
-enum class HorizonCap : unsigned;
 class TelemetrySampler;
 struct SnapshotAccess;
 
@@ -69,13 +68,8 @@ class Gpu
     /**
      * Tick until every kernel is done or `max_cycles` elapse, and
      * return the cycles actually simulated (less than `max_cycles`
-     * when the kernels drain early). With cfg.clockSkip (the default)
-     * the loop is event-driven: after each tick it asks every SM,
-     * memory partition, the policy, and the telemetry sampler for
-     * their next event cycle and jumps the clock to the minimum,
-     * bulk-accounting the skipped cycles with statistics identical to
-     * per-cycle ticking. clockSkip=false forces the per-cycle
-     * reference loop.
+     * when the kernels drain early). Every cycle is ticked; the
+     * auditor and the watchdog check the machine after each tick.
      */
     Cycle run(Cycle max_cycles);
 
@@ -124,10 +118,9 @@ class Gpu
 
     /**
      * Attach (or with nullptr, detach) the engine self-profiler. While
-     * attached, every tick phase is wall-clock-timed and every skip
-     * horizon attributed; the profiler never feeds back into
-     * simulation decisions, so attaching it cannot change simulated
-     * state.
+     * attached, every tick phase is wall-clock-timed; the profiler
+     * never feeds back into simulation decisions, so attaching it
+     * cannot change simulated state.
      */
     void attachEngineProfiler(EngineProfiler *profiler);
     EngineProfiler *engineProfiler() const { return prof; }
@@ -171,18 +164,6 @@ class Gpu
      *  signature has been flat for cfg.watchdogCycles cycles. */
     void checkWatchdog();
 
-    /**
-     * Earliest cycle > now at which any component could act, clamped
-     * to `end`; returns `now` itself when some component needs the
-     * very next cycle (no skip possible). Non-const only to record the
-     * capping constraint in pendingCap while profiling.
-     */
-    Cycle nextHorizon(Cycle end);
-
-    /** Jump the clock by `cycles` guaranteed-eventless cycles,
-     *  bulk-accounting every SM and partition. */
-    void bulkSkip(Cycle cycles);
-
     const GpuConfig cfg;
     std::unique_ptr<SlicingPolicy> policy;
     std::vector<std::unique_ptr<SmCore>> sms;
@@ -190,9 +171,6 @@ class Gpu
     std::vector<std::unique_ptr<KernelInstance>> kernels;
     TelemetrySampler *telem = nullptr;
     EngineProfiler *prof = nullptr;
-    /** Scratch for run(): which constraint capped the horizon the
-     *  last nextHorizon() computed (written only while `prof`). */
-    HorizonCap pendingCap{};
     std::unique_ptr<Auditor> auditor;
     Cycle now = 0;
 
@@ -222,11 +200,6 @@ class Gpu
      *  SM x kernel placement scan while every eligible SM is full. */
     bool dispatchBlocked = false;
     Cycle dispatchBlockedUntil = 0;
-
-    /** Set when the kernel set changed this tick; forces the next
-     *  tick to run un-skipped so temporal policies (e.g. TimeSlice's
-     *  owner rotation) observe the new set before any skip. */
-    bool policyDirty = true;
 };
 
 } // namespace wsl

@@ -54,11 +54,9 @@ class SlicingPolicy
 
     /**
      * True when tick() is a no-op and dispatch decisions depend only
-     * on GPU state, never on the cycle count. Lets Gpu::run()
-     * fast-forward through fully quiescent stretches (nothing left to
-     * dispatch, every SM and partition drained) instead of ticking
-     * cycle by cycle. Policies with temporal behavior — profiling
-     * windows, time slices — must override this to false.
+     * on GPU state, never on the cycle count. Policies with temporal
+     * behavior — profiling windows, time slices — must override this
+     * to false.
      */
     virtual bool timeInvariant() const { return true; }
 
@@ -75,10 +73,12 @@ class SlicingPolicy
      * decision (quotas, mayDispatch mask) may change with the passage
      * of time alone — that is, with no intervening kernel-set change.
      * Cycles strictly between `now` and the returned value are
-     * guaranteed policy no-ops, which lets Gpu::run()'s event-horizon
-     * clock skipping jump over them. The default is conservative:
+     * guaranteed policy no-ops, which lets the GPU's dispatcher skip
+     * its placement scan while every eligible SM is full (the
+     * dispatch-saturation memo). The default is conservative:
      * neverCycle for time-invariant policies (their tick() is a no-op)
-     * and `now` (no skipping) for temporal ones that do not override.
+     * and `now` (rescan every cycle) for temporal ones that do not
+     * override.
      */
     virtual Cycle
     nextDecisionAt(Cycle now) const

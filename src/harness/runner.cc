@@ -10,7 +10,6 @@
 #include "common/log.hh"
 #include "core/policies.hh"
 #include "harness/parallel.hh"
-#include "harness/snapshot_cache.hh"
 #include "harness/solo_cache.hh"
 #include "obs/decision_log.hh"
 #include "obs/engine_profiler.hh"
@@ -138,11 +137,8 @@ runSoloToTarget(const KernelParams &params, const GpuConfig &cfg,
 
 namespace {
 
-/**
- * Validate and build the policy object a co-run uses (fixed quotas
- * override `kind`). Shared by the main run and the warm-start prefix
- * simulation, which must construct an identical policy.
- */
+/** Validate and build the policy object a co-run uses (fixed quotas
+ *  override `kind`). */
 std::unique_ptr<SlicingPolicy>
 makeCoRunPolicy(const std::vector<KernelParams> &apps, PolicyKind kind,
                 const GpuConfig &cfg, const CoRunOptions &opts)
@@ -165,53 +161,6 @@ makeCoRunPolicy(const std::vector<KernelParams> &apps, PolicyKind kind,
                 apps[i].name, "' exceed one SM's resources"));
     }
     return std::make_unique<FixedQuotaPolicy>(opts.fixedQuotas);
-}
-
-/** Every Warped-Slicer tunable, serialized for the warm-start key. */
-std::string
-slicerFingerprint(const WarpedSlicerOptions &o)
-{
-    return detail::concat(
-        "warmup=", o.warmup, ";profile=", o.profileLength,
-        ";delay=", o.algorithmDelay, ";loss=", o.lossThresholdScale,
-        ";bwutil=", o.bwUtilization, ";bwscale=", o.bwScaling,
-        ";bwconstr=", o.bwConstraint, ";aluutil=", o.aluUtilization,
-        ";monitor=", o.phaseMonitor, ";mwin=", o.monitorWindow,
-        ";mdelta=", o.phaseDelta, ";sustained=", o.sustainedWindows,
-        ";skipwin=", o.baselineSkipWindows,
-        ";cooldown=", o.reprofileCooldown);
-}
-
-/**
- * Warm-start cache key: everything the shared prefix depends on. The
- * machine fingerprint canonicalizes the engine variants away (so
- * serial and threaded sweeps share prefixes) and carries the snapshot
- * format version; the decision-log marker separates captures that
- * embed replayable log entries from those that don't.
- */
-std::string
-warmStartKey(const std::vector<KernelParams> &apps,
-             const std::vector<std::uint64_t> &targets, PolicyKind kind,
-             const GpuConfig &cfg, const CoRunOptions &opts)
-{
-    std::string key = snapshotMachineFingerprint(cfg);
-    key += "|policy=";
-    if (!opts.fixedQuotas.empty()) {
-        key += "FixedQuota:";
-        for (const int q : opts.fixedQuotas)
-            key += std::to_string(q) + ",";
-    } else {
-        key += policyName(kind);
-        if (kind == PolicyKind::Dynamic)
-            key += ":" + slicerFingerprint(opts.slicer);
-    }
-    for (std::size_t i = 0; i < apps.size(); ++i)
-        key += "|app=" + kernelFingerprint(apps[i]) + ":" +
-               std::to_string(targets[i]);
-    key += "|warm@" + std::to_string(opts.warmStartAt);
-    if (opts.decisionLog)
-        key += "|dlog";
-    return key;
 }
 
 } // namespace
@@ -248,8 +197,6 @@ runCoSchedule(const std::vector<KernelParams> &apps,
     for (std::size_t i = 0; i < apps.size(); ++i)
         kids.push_back(static_cast<KernelId>(i));
 
-    const bool warm_start = opts.warmStart && opts.warmStartAt > 0 &&
-                            opts.restorePath.empty() && !opts.telemetry;
     if (!opts.restorePath.empty()) {
         restoreSnapshotFile(gpu, opts.restorePath);
         // The snapshot must describe this exact experiment; a stale
@@ -273,27 +220,6 @@ runCoSchedule(const std::vector<KernelParams> &apps,
                     "taken under a different characterization window "
                     "(--window)?"));
         }
-    } else if (warm_start) {
-        const std::string key =
-            warmStartKey(apps, targets, kind, cfg, opts);
-        const SnapshotCache::Bytes &bytes =
-            opts.warmStart->getOrCompute(key, [&] {
-                // Simulate the shared prefix once, on a private
-                // machine built exactly like the consumer's.
-                std::unique_ptr<SlicingPolicy> warm_policy =
-                    makeCoRunPolicy(apps, kind, cfg, opts);
-                DecisionLog warm_log;  // rides along in the snapshot
-                if (opts.decisionLog)
-                    if (auto *dyn = dynamic_cast<WarpedSlicerPolicy *>(
-                            warm_policy.get()))
-                        dyn->attachDecisionLog(&warm_log);
-                Gpu warm(cfg, std::move(warm_policy));
-                for (std::size_t i = 0; i < apps.size(); ++i)
-                    warm.launchKernel(apps[i], targets[i]);
-                warm.run(opts.warmStartAt);
-                return saveSnapshot(warm);
-            });
-        restoreSnapshot(gpu, bytes);
     } else {
         for (std::size_t i = 0; i < apps.size(); ++i)
             gpu.launchKernel(apps[i], targets[i]);
@@ -417,7 +343,6 @@ namespace {
 // not synchronization.
 std::atomic<std::uint64_t> g_batch_jobs{0};
 std::atomic<std::uint64_t> g_batch_failures{0};
-std::atomic<std::uint64_t> g_batch_retries{0};
 
 } // namespace
 
@@ -436,7 +361,7 @@ batchJobsFailed()
 std::uint64_t
 batchRetries()
 {
-    return g_batch_retries.load(std::memory_order_relaxed);
+    return 0;
 }
 
 std::vector<CoRunResult>
@@ -464,40 +389,10 @@ runCoScheduleBatch(Characterization &chars,
                     apps.push_back(benchmark(name));
                     targets.push_back(chars.target(name));
                 }
-                try {
-                    return runCoSchedule(apps, targets, job.kind,
-                                         run_cfg, job.opts);
-                } catch (const DeadlockError &e) {
-                    if (!chars.config().clockSkip)
-                        throw;
-                    // The watchdog fired under clock skipping. Retry
-                    // once with the per-cycle reference loop: if that
-                    // succeeds, the skip fast path (not the workload)
-                    // diverged — report it as such but keep the
-                    // retry's trustworthy numbers.
-                    GpuConfig no_skip = run_cfg;
-                    no_skip.clockSkip = false;
-                    g_batch_retries.fetch_add(
-                        1, std::memory_order_relaxed);
-                    CoRunResult r = runCoSchedule(apps, targets,
-                                                  job.kind, no_skip,
-                                                  job.opts);
-                    r.error.failed = true;
-                    r.error.kind = "skip-divergence";
-                    r.error.retriedNoSkip = true;
-                    r.error.retries = 1;
-                    r.error.message = detail::concat(
-                        "watchdog fired with clock skipping but the "
-                        "no-skip retry completed: ", e.what());
-                    g_batch_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    return r;
-                }
+                return runCoSchedule(apps, targets, job.kind, run_cfg,
+                                     job.opts);
             } catch (const DeadlockError &e) {
                 failed.error.kind = e.kindName();
-                failed.error.retriedNoSkip = chars.config().clockSkip;
-                failed.error.retries =
-                    failed.error.retriedNoSkip ? 1 : 0;
                 failed.error.message = detail::concat(
                     e.what(), "\n", e.report());
             } catch (const SimError &e) {

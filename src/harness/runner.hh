@@ -28,7 +28,6 @@ namespace wsl {
 
 class DecisionLog;
 class EngineProfiler;
-class SnapshotCache;
 
 /** The multiprogramming approaches compared in the evaluation. */
 enum class PolicyKind { LeftOver, Even, Spatial, Dynamic };
@@ -112,21 +111,7 @@ struct CoRunOptions
      */
     DecisionLog *decisionLog = nullptr;
 
-    // ---- Checkpoint / warm-start controls (snapshot engine) ----
-
-    /**
-     * Warm-start fan-out: with a cache and warmStartAt > 0, the run's
-     * shared prefix (launch through cycle `warmStartAt`) is simulated
-     * once per distinct {machine, policy, apps, targets, capture
-     * cycle} key and every subsequent identical job forks from the
-     * cached snapshot instead of re-simulating it. Bit-identical to a
-     * cold run by the snapshot engine's restore guarantee. Ignored
-     * when telemetry is attached (samplers must observe the whole
-     * run) or when restoring from a file.
-     */
-    SnapshotCache *warmStart = nullptr;
-    /** Prefix boundary (absolute cycle) for warm-start capture. */
-    Cycle warmStartAt = 0;
+    // ---- Checkpoint controls (snapshot engine) ----
 
     /** Resume from this snapshot file instead of launching fresh
      *  kernels; the file's kernel set must match `apps`/`targets`. */
@@ -146,26 +131,14 @@ struct CoRunOptions
  * Per-job failure record for fault-isolated sweeps. A SimError thrown
  * inside one job of runCoScheduleBatch is caught and recorded here
  * instead of tearing down the whole sweep; the job's CoRunResult keeps
- * its defaults (or, for a successful no-skip retry, the retry's
- * numbers) and the remaining jobs run to completion.
+ * its defaults and the remaining jobs run to completion.
  */
 struct JobError
 {
     bool failed = false;
-    /** SimError kind ("internal", "invariant", "deadlock", "config"),
-     *  or "skip-divergence" when the job deadlocked under clock
-     *  skipping but succeeded on the no-skip retry — i.e. the fast
-     *  path itself is the suspect. */
+    /** SimError kind ("internal", "invariant", "deadlock", "config"). */
     std::string kind;
     std::string message;
-    /** True when the watchdog fired under clock-skip and the job was
-     *  re-run once with clockSkip=false to self-diagnose. */
-    bool retriedNoSkip = false;
-    /** Bounded re-runs this job consumed (today 0 or 1: the no-skip
-     *  self-diagnosis retry). Counted even when the retry also failed,
-     *  so a sweep report can separate "failed outright" from "failed
-     *  after burning a retry". */
-    unsigned retries = 0;
 };
 
 /** Process-wide runCoScheduleBatch telemetry, fed to the counter
@@ -173,6 +146,7 @@ struct JobError
  *  this process ran. */
 std::uint64_t batchJobsRun();
 std::uint64_t batchJobsFailed();
+/** Shim that reads zero; see HorizonCap in obs/engine_profiler.hh. */
 std::uint64_t batchRetries();
 
 /** Result of one co-scheduled run. */
@@ -261,10 +235,7 @@ struct CoRunJob
  *
  * Jobs are fault-isolated: a SimError (bad config, invariant
  * violation, watchdog deadlock) in one job is recorded in that job's
- * CoRunResult::error and the remaining jobs still run. A job whose
- * watchdog fires under clock skipping gets one bounded retry with
- * clockSkip=false; if the retry succeeds the divergence is reported as
- * kind "skip-divergence" alongside the retry's (trustworthy) numbers.
+ * CoRunResult::error and the remaining jobs still run.
  */
 std::vector<CoRunResult> runCoScheduleBatch(
     Characterization &chars, const std::vector<CoRunJob> &batch,

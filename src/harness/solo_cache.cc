@@ -27,8 +27,7 @@ configFingerprint(const GpuConfig &c)
        << ',' << c.dramQueue << ',' << c.tCL << ',' << c.tRP << ','
        << c.tRC << ',' << c.tRAS << ',' << c.tRCD << ',' << c.tRRD
        << ',' << c.dramBurst << ',' << c.dramRowBytes << ',' << c.seed
-       << ',' << c.clockSkip << ',' << c.auditCadence << ','
-       << c.watchdogCycles;
+       << ',' << c.auditCadence << ',' << c.watchdogCycles;
     return os.str();
 }
 

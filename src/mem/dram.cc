@@ -171,18 +171,4 @@ DramChannel::tick(Cycle now, std::vector<DramCompletion> &completed)
     // The request stays queued; it issues as a row hit once readyAt.
 }
 
-Cycle
-DramChannel::nextEventAt(Cycle now) const
-{
-    Cycle h = neverCycle;
-    if (!inFlight.empty())
-        h = inFlight.front().doneAt;
-    if (queued != 0) {
-        if (!horizonValid || horizonAt <= now)
-            return now;  // scheduler may act on the next tick
-        h = std::min(h, horizonAt);
-    }
-    return h;
-}
-
 } // namespace wsl

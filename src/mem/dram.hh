@@ -8,8 +8,7 @@
  * queues with bank/row indices precomputed at push, replacing the
  * original single-vector O(n) scan with per-entry address math. A
  * blocked tick memoizes the exact cycle at which the next command can
- * issue, so fully-stalled channels cost O(1) per cycle and the memo
- * doubles as the channel's event horizon for clock skipping.
+ * issue, so fully-stalled channels cost O(1) per cycle.
  */
 
 #ifndef WSL_MEM_DRAM_HH
@@ -65,17 +64,6 @@ class DramChannel
      * reads into `completed`.
      */
     void tick(Cycle now, std::vector<DramCompletion> &completed);
-
-    /**
-     * Earliest cycle at which this channel can next change state:
-     * the oldest in-flight transfer's doneAt, a queued request's
-     * arrival, a bank becoming column-ready, the bus draining below
-     * the pipelining gate, or the tRRD window reopening. Returns
-     * `now` when the scheduler may act on the very next tick and
-     * neverCycle when the channel is empty. Valid only between
-     * tick(now-1) and tick(now).
-     */
-    Cycle nextEventAt(Cycle now) const;
 
     bool busy() const { return queued != 0 || !inFlight.empty(); }
     std::size_t queueDepth() const { return queued; }

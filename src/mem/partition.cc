@@ -91,34 +91,6 @@ MemPartition::tick(Cycle now)
     }
 }
 
-Cycle
-MemPartition::nextEventAt(Cycle now) const
-{
-    if (!outResponses.empty())
-        return now;  // undrained responses: keep ticking
-    Cycle h = neverCycle;
-    if (!reqQueue.empty()) {
-        // readyAt stamps are nondecreasing (all pushes add the same
-        // interconnect latency to the current cycle), so the head is
-        // the earliest arrival. An arrived head may be backpressured,
-        // which only per-cycle retries resolve.
-        const MemRequest &front = reqQueue.front();
-        if (front.readyAt <= now)
-            return now;
-        h = front.readyAt;
-    }
-    return std::min(h, dram.nextEventAt(now));
-}
-
-void
-MemPartition::skipTick(Cycle cycles)
-{
-    if (recordTelemetry && cycles != 0) {
-        mshrHist.record(l2.mshrsInUse(), cycles);
-        dramHist.record(dram.queueDepth(), cycles);
-    }
-}
-
 PartitionStats
 MemPartition::stats() const
 {

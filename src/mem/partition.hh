@@ -45,23 +45,6 @@ class MemPartition
     /** Advance one core cycle. */
     void tick(Cycle now);
 
-    /**
-     * Earliest cycle at which this partition can next change state:
-     * the head request's arrival or the DRAM channel's next event.
-     * Returns `now` when work is possible on the very next tick and
-     * neverCycle when fully idle. Valid only between ticks, after
-     * responses have been drained.
-     */
-    Cycle nextEventAt(Cycle now) const;
-
-    /**
-     * Account `cycles` ticks in bulk without advancing any state.
-     * Only valid for a stretch in which every tick would have been a
-     * no-op (nextEventAt() beyond the stretch): queue depths are
-     * constant, so telemetry histograms take one bulk record each.
-     */
-    void skipTick(Cycle cycles);
-
     /** Responses ready to route back to the SMs (drained by the GPU). */
     std::vector<MemResponse> &responses() { return outResponses; }
 

@@ -14,8 +14,8 @@
  *
  * Recording is strictly observational and fully deterministic (no
  * wall clock, no allocation-order dependence): two runs of the same
- * workload produce byte-identical logs at any --jobs setting and with
- * clock skipping on or off, which a test enforces.
+ * workload produce byte-identical logs at any --jobs setting, and a
+ * run resumed from a checkpoint reproduces the cold run's log.
  */
 
 #ifndef WSL_OBS_DECISION_LOG_HH
@@ -91,8 +91,9 @@ class DecisionLog
     /**
      * Record that this log belongs to a run restored from a snapshot
      * (the decisions before `info.captureCycle` were replayed from the
-     * capture side's log, not recomputed). Cold and warm-start runs
-     * never set this, keeping their logs byte-identical.
+     * capture side's log, not recomputed). wslicer-sim sets it on
+     * --restore; runCoSchedule does not, so a run it resumes keeps a
+     * log byte-identical to the cold run's.
      */
     void setSnapshotProvenance(const SnapshotInfo &info)
     {

@@ -20,22 +20,6 @@ epochPhaseName(EpochPhase phase)
     return "?";
 }
 
-const char *
-horizonCapName(HorizonCap cap)
-{
-    switch (cap) {
-      case HorizonCap::PolicyDirty: return "policy_dirty";
-      case HorizonCap::Policy: return "policy";
-      case HorizonCap::Telemetry: return "telemetry";
-      case HorizonCap::Sm: return "sm";
-      case HorizonCap::Partition: return "partition";
-      case HorizonCap::WatchdogDeadline: return "watchdog_deadline";
-      case HorizonCap::RunEnd: return "run_end";
-      case HorizonCap::NumCaps: break;
-    }
-    return "?";
-}
-
 void
 EngineProfiler::harvest(const Gpu &gpu)
 {
@@ -53,7 +37,7 @@ void
 EngineProfiler::writeJson(std::ostream &os) const
 {
     JsonValue root = JsonValue::makeObject();
-    root.set("schema", JsonValue::makeString("wslicer-profile-v2"));
+    root.set("schema", JsonValue::makeString("wslicer-profile-v3"));
 
     JsonValue phases = JsonValue::makeObject();
     for (unsigned p = 0;
@@ -62,22 +46,8 @@ EngineProfiler::writeJson(std::ostream &os) const
                    JsonValue::makeNumber(
                        static_cast<double>(phaseNsAcc[p])));
     root.set("phase_ns", std::move(phases));
-
-    JsonValue caps = JsonValue::makeObject();
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(HorizonCap::NumCaps); ++c)
-        caps.set(horizonCapName(static_cast<HorizonCap>(c)),
-                 JsonValue::makeNumber(
-                     static_cast<double>(capCounts[c])));
-    root.set("horizon_caps", std::move(caps));
-
     root.set("ticks", JsonValue::makeNumber(
                           static_cast<double>(tickCount)));
-    root.set("skips", JsonValue::makeNumber(
-                          static_cast<double>(skipCount)));
-    root.set("skipped_cycles",
-             JsonValue::makeNumber(
-                 static_cast<double>(skippedCyclesAcc)));
 
     root.set("scan_memo_hits",
              JsonValue::makeNumber(static_cast<double>(memoHits)));
@@ -104,29 +74,11 @@ EngineProfiler::registerCounters(CounterRegistry &registry) const
                  static_cast<double>(phaseNsAcc[p]),
                  "counter",
                  "wall-clock nanoseconds per tick phase"});
-        for (unsigned c = 0;
-             c < static_cast<unsigned>(HorizonCap::NumCaps); ++c)
-            out.push_back(
-                {"wsl_engine_horizon_caps",
-                 {{"cap", horizonCapName(static_cast<HorizonCap>(c))}},
-                 static_cast<double>(capCounts[c]),
-                 "counter",
-                 "clock-skip horizons capped, by capping component"});
         out.push_back({"wsl_engine_ticks",
                        {},
                        static_cast<double>(tickCount),
                        "counter",
                        "ticks executed"});
-        out.push_back({"wsl_engine_skips",
-                       {},
-                       static_cast<double>(skipCount),
-                       "counter",
-                       "bulk clock skips executed"});
-        out.push_back({"wsl_engine_skipped_cycles",
-                       {},
-                       static_cast<double>(skippedCyclesAcc),
-                       "counter",
-                       "simulated cycles covered by bulk skips"});
     });
 }
 

@@ -2,10 +2,9 @@
  * @file
  * Engine self-profiler: where does the *simulator's* wall-clock time
  * go? It wall-clock-times each of the four tick phases (SM compute,
- * request merge, partition compute, response delivery), attributes
- * every clock-skip horizon to the component that capped it, counts
- * skip effectiveness, and — at harvest — folds in the schedulers'
- * scan-vs-memo split and the solo cache's hit rate.
+ * request merge, partition compute, response delivery), counts ticks,
+ * and — at harvest — folds in the schedulers' scan-vs-memo split and
+ * the solo cache's hit rate.
  *
  * Guarantee: the profiler only *observes*. It accumulates wall-clock
  * durations and event counts; nothing it records ever feeds back into
@@ -22,8 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <ostream>
-
-#include "common/types.hh"
 
 namespace wsl {
 
@@ -43,21 +40,20 @@ enum class EpochPhase : unsigned
 
 const char *epochPhaseName(EpochPhase phase);
 
-/** Who capped a clock-skip horizon (why the clock could not jump
- *  further — or at all). */
+// Compatibility shims for the end-to-end benchmark, which still
+// reports clock-skip rows: HorizonCap, EngineProfiler::capCount and
+// EngineProfiler::skippedCycles here, and batchRetries() in
+// harness/runner.hh. Every cycle is ticked, so they all read zero. A
+// benchmark change that drops gpu.skipped_cycles, gpu.skip_ratio,
+// gpu.horizon_cap.* and harness.retries deletes them.
 enum class HorizonCap : unsigned
 {
-    PolicyDirty,      //!< kernel-set change forced an un-skipped tick
-    Policy,           //!< the policy's next decision boundary
-    Telemetry,        //!< the sampler's next interval boundary
-    Sm,               //!< some SM's next event
-    Partition,        //!< some memory partition's next event
-    WatchdogDeadline, //!< capped at the no-progress deadline
-    RunEnd,           //!< capped at the caller's max_cycles
-    NumCaps
+    PolicyDirty,
+    Policy,
+    Sm,
+    Partition,
+    RunEnd
 };
-
-const char *horizonCapName(HorizonCap cap);
 
 /** See file comment. Attach via Gpu::attachEngineProfiler(). */
 class EngineProfiler
@@ -85,19 +81,6 @@ class EngineProfiler
 
     void onTick() { ++tickCount; }
 
-    void
-    onSkip(Cycle cycles)
-    {
-        ++skipCount;
-        skippedCyclesAcc += cycles;
-    }
-
-    void
-    onHorizonCap(HorizonCap cap)
-    {
-        ++capCounts[static_cast<unsigned>(cap)];
-    }
-
     // ---- Harvest & export ----
 
     /**
@@ -116,15 +99,12 @@ class EngineProfiler
         return phaseNsAcc[static_cast<unsigned>(phase)];
     }
     std::uint64_t ticks() const { return tickCount; }
-    std::uint64_t skips() const { return skipCount; }
-    std::uint64_t skippedCycles() const { return skippedCyclesAcc; }
-    std::uint64_t
-    capCount(HorizonCap cap) const
-    {
-        return capCounts[static_cast<unsigned>(cap)];
-    }
     std::uint64_t scanMemoHits() const { return memoHits; }
     std::uint64_t schedulerScans() const { return schedScans; }
+
+    /** Shims: see HorizonCap. */
+    std::uint64_t skippedCycles() const { return 0; }
+    std::uint64_t capCount(HorizonCap) const { return 0; }
 
     /** Full profile as one JSON object. */
     void writeJson(std::ostream &os) const;
@@ -137,12 +117,7 @@ class EngineProfiler
     std::array<std::uint64_t,
                static_cast<unsigned>(EpochPhase::NumPhases)>
         phaseNsAcc{};
-    std::array<std::uint64_t,
-               static_cast<unsigned>(HorizonCap::NumCaps)>
-        capCounts{};
     std::uint64_t tickCount = 0;
-    std::uint64_t skipCount = 0;
-    std::uint64_t skippedCyclesAcc = 0;
 
     // Harvested (see harvest()).
     std::uint64_t memoHits = 0;

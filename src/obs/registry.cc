@@ -157,9 +157,9 @@ registerGpuCounters(CounterRegistry &registry, const Gpu &gpu)
         appendFlattenedStats(gpu.collectStats(), out);
     });
     // Engine-meta counters: interconnect conservation totals, the
-    // scheduler scan/memo split, and the audit count. These live
-    // outside the stats identity surface (they differ legitimately
-    // between skip and no-skip engines).
+    // scheduler scan/memo split, and the audit count. These describe
+    // how the simulator ran, so they live outside the stats identity
+    // surface (a restored run restarts the scan counters at zero).
     registry.addProvider([&gpu](std::vector<MetricSample> &out) {
         out.push_back({"wsl_icnt_routed_requests",
                        {},
@@ -235,13 +235,7 @@ registerHarnessCounters(CounterRegistry &registry)
                        {},
                        static_cast<double>(batchJobsFailed()),
                        "counter",
-                       "batch jobs that ended with a JobError (incl. "
-                       "skip-divergence retries that succeeded)"});
-        out.push_back({"wsl_batch_retries",
-                       {},
-                       static_cast<double>(batchRetries()),
-                       "counter",
-                       "bounded no-skip self-diagnosis retries"});
+                       "batch jobs that ended with a JobError"});
     });
 }
 

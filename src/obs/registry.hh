@@ -90,7 +90,7 @@ std::string promSafeName(std::string_view raw);
  * SmStats/PartitionStats families (per-kernel and per-stall-kind
  * arrays become labeled series), the global cycle clock, the
  * interconnect conservation totals, per-SM engine counters (scan-memo
- * hits, scans, bulk-skipped cycles), and — when present — the
+ * hits, scans), and — when present — the
  * auditor's audit count. The Gpu must outlive the registry's exports.
  */
 void registerGpuCounters(CounterRegistry &registry, const Gpu &gpu);

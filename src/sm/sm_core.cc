@@ -659,16 +659,14 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
 }
 
 void
-SmCore::chargeStall(StallKind kind, int culprit, Cycle count)
+SmCore::chargeStall(StallKind kind, int culprit)
 {
-    smStats.stalls[static_cast<unsigned>(kind)] += count;
+    ++smStats.stalls[static_cast<unsigned>(kind)];
     if (recordTelemetry) {
         if (culprit != invalidKernel)
-            smStats.kernelStalls[culprit][static_cast<unsigned>(kind)] +=
-                count;
+            ++smStats.kernelStalls[culprit][static_cast<unsigned>(kind)];
         else
-            smStats.unattributedStalls[static_cast<unsigned>(kind)] +=
-                count;
+            ++smStats.unattributedStalls[static_cast<unsigned>(kind)];
     }
 }
 
@@ -1029,91 +1027,24 @@ SmCore::tick(Cycle now)
         runFetch(now);
 }
 
-Cycle
-SmCore::nextEventAt(Cycle now) const
-{
-    // A quiescent core has no valid load, warp, or CTA left, so any
-    // remaining wheel or fetch-queue entries are epoch-guarded stale
-    // no-ops (memWheel is provably empty: activeLoads == 0); they must
-    // not pin the horizon, or a drained core would force per-cycle
-    // ticking forever.
-    if (quiescent(now))
-        return neverCycle;
-    // Queued outgoing requests and front-end refill starts need
-    // per-cycle service (routing and fetchWidth pacing).
-    if (!outRequests.empty() || !fetchQueue.empty())
-        return now;
-    Cycle h = neverCycle;
-    for (unsigned s = 0; s < cfg.numSchedulers; ++s) {
-        if (schedLists[s].empty())
-            continue;
-        const ScanCacheEntry &memo = scanCache[s];
-        if (!memo.valid || now >= memo.validUntil)
-            return now;  // the scan must actually run
-        h = std::min(h, memo.validUntil);
-    }
-    for (const MemResponse &r : respQueue) {
-        if (r.readyAt <= now)
-            return now;
-        h = std::min(h, r.readyAt);
-    }
-    if (wbWheelCount + memWheelCount + fetchWheelCount > 0) {
-        // Wheel entries always fire within wheelSize cycles of being
-        // pushed, so the first non-empty slot ahead of `now` is the
-        // wheels' next event; a skip can never jump over one.
-        for (unsigned d = 0; d < wheelSize; ++d) {
-            const unsigned slot =
-                static_cast<unsigned>((now + d) % wheelSize);
-            if (!wbWheel[slot].empty() || !memWheel[slot].empty() ||
-                !fetchWheel[slot].empty()) {
-                h = std::min(h, now + d);
-                break;
-            }
-        }
-    }
-    return h;
-}
-
 void
-SmCore::skipTick(Cycle now, Cycle cycles)
+SmCore::idleTick()
 {
-    // Every cycle in [now, now + cycles) is provably eventless (see
-    // nextEventAt): no wheel slot fires, no fill arrives, and every
-    // scheduler either has no warps or replays its memoized stall, so
-    // nothing can issue and the pools, pipelines, and MSHRs hold
-    // still. Bulk-account exactly what per-cycle ticking would have.
-    smStats.cycles += cycles;
+    // A quiescent core has no warp on any scheduler list, an idle LDST
+    // unit and no outgoing requests; of tick()'s work only the
+    // counters below remain.
+    ++smStats.cycles;
     const ResourceVec &used = resourcePool.usedVec();
-    smStats.regsAllocatedIntegral +=
-        static_cast<std::uint64_t>(used.regs) * cycles;
-    smStats.shmAllocatedIntegral +=
-        static_cast<std::uint64_t>(used.shm) * cycles;
-    smStats.threadsAllocatedIntegral +=
-        static_cast<std::uint64_t>(used.threads) * cycles;
-    // outRequests is empty here (else the horizon was `now`), so the
-    // LDST unit counts busy while occupied or under MSHR pressure;
-    // both terms are frozen across the window.
-    Cycle busy = 0;
-    if (l1.mshrsInUse() >= 8)
-        busy = cycles;
-    else if (ldstBusyUntil > now)
-        busy = std::min(cycles, ldstBusyUntil - now);
-    if (busy != 0) {
-        smStats.ldstBusyCycles += busy;
+    smStats.regsAllocatedIntegral += used.regs;
+    smStats.shmAllocatedIntegral += used.shm;
+    smStats.threadsAllocatedIntegral += used.threads;
+    if (l1.mshrsInUse() >= 8) {
+        ++smStats.ldstBusyCycles;
         if (recordTelemetry && ldstOwner != invalidKernel)
-            smStats.kernelLdstBusyCycles[ldstOwner] += busy;
+            ++smStats.kernelLdstBusyCycles[ldstOwner];
     }
-    for (unsigned s = 0; s < cfg.numSchedulers; ++s) {
-        if (schedLists[s].empty()) {
-            chargeStall(StallKind::Idle, invalidKernel, cycles);
-        } else {
-            const ScanCacheEntry &memo = scanCache[s];
-            WSL_ASSERT(memo.valid && now + cycles <= memo.validUntil,
-                       "skip window crosses a scheduler memo horizon");
-            engineScanMemoHits += cycles;
-            chargeStall(memo.kind, memo.culprit, cycles);
-        }
-    }
+    for (unsigned s = 0; s < cfg.numSchedulers; ++s)
+        chargeStall(StallKind::Idle, invalidKernel);
 }
 
 } // namespace wsl

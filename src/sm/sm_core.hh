@@ -83,8 +83,8 @@ class SmCore
     /**
      * True when this core has no live warps and no in-flight work:
      * ticking it can only burn Idle scheduler slots. The GPU then
-     * substitutes skipTick(), which bulk-accounts the identical
-     * counters without running the pipeline.
+     * substitutes idleTick(), which accounts the identical counters
+     * without running the pipeline.
      */
     bool
     quiescent(Cycle now) const
@@ -95,24 +95,11 @@ class SmCore
     }
 
     /**
-     * Earliest future cycle at which ticking this core could do
-     * anything beyond replaying memoized stalls: a wheel slot firing
-     * (writeback, L1-hit maturation, i-buffer refill), a line fill
-     * arriving, a scheduler memo expiring, or queued front-end/outgoing
-     * work needing per-cycle service. Returns `now` when the core must
-     * be ticked every cycle; cycles strictly between `now` and the
-     * returned value are provably identical to skipTick() accounting.
+     * Account one cycle of a quiescent() core exactly as tick() would:
+     * cycle counter, resource integrals, LDST busy accounting under
+     * MSHR pressure, and an Idle charge on every scheduler.
      */
-    Cycle nextEventAt(Cycle now) const;
-
-    /**
-     * Account `cycles` cycles of guaranteed-eventless simulation
-     * exactly as per-cycle ticking would: cycle counter, resource
-     * integrals, LDST busy accounting, and per-scheduler stall charges
-     * replayed from the scan memos. Only valid for windows ending at or
-     * before nextEventAt(now).
-     */
-    void skipTick(Cycle now, Cycle cycles);
+    void idleTick();
 
     // ---- Memory-system interface (driven by the GPU object) ----
 
@@ -141,10 +128,9 @@ class SmCore
     SmId id() const { return smId; }
 
     // Engine-meta counters: how the *simulator* ran, not what the
-    // simulated machine did. Deliberately NOT in SmStats — memo
-    // replays and scan counts legitimately differ between the skip
-    // and no-skip engines, so folding them into the identity surface
-    // would break the bit-identity gates.
+    // simulated machine did. Deliberately NOT in SmStats — a restored
+    // run restarts them at zero, so folding them into the identity
+    // surface would break the bit-identity gates.
 
     /** Scheduler scans answered by replaying the failed-scan memo. */
     std::uint64_t scanMemoHits() const { return engineScanMemoHits; }
@@ -255,7 +241,7 @@ class SmCore
 
     void runFetch(Cycle now);
     void runScheduler(unsigned sched, Cycle now);
-    void chargeStall(StallKind kind, int culprit, Cycle count = 1);
+    void chargeStall(StallKind kind, int culprit);
     IssueOutcome tryIssue(std::uint16_t widx, unsigned sched, Cycle now);
     void executeIssue(WarpHot &hw, WarpState &warp,
                       const Instruction &inst, std::uint16_t widx,
@@ -341,8 +327,9 @@ class SmCore
     };
 
     // Writeback timing wheels. The pending counters track live slot
-    // entries so nextEventAt() can skip the 256-slot scan when all
-    // wheels are empty (the common idle state).
+    // entries so tick() can skip probing a wheel's slot while that
+    // wheel is empty, and the auditor can reconcile the L1-hit wheel
+    // with the outstanding loads.
     std::array<std::vector<WbEntry>, wheelSize> wbWheel;
     std::array<std::vector<std::uint16_t>, wheelSize> memWheel;
     std::array<std::vector<FetchEntry>, wheelSize> fetchWheel;

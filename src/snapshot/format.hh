@@ -22,7 +22,7 @@ namespace wsl {
  * has no field-level compatibility story, by design — a snapshot is a
  * bit-exact machine image, not an interchange format.
  */
-inline constexpr std::uint32_t snapshotFormatVersion = 2;
+inline constexpr std::uint32_t snapshotFormatVersion = 3;
 
 /** Leading magic of every snapshot file. */
 inline constexpr char snapshotMagic[8] = {'W', 'S', 'L', 'S',
@@ -38,7 +38,7 @@ struct SnapshotInfo
 {
     std::uint32_t formatVersion = 0;
     Cycle captureCycle = 0;
-    /** Canonicalized machine fingerprint (engine-variant knobs
+    /** Canonicalized machine fingerprint (read-only integrity knobs
      *  neutralized; see snapshotMachineFingerprint). */
     std::string machineFingerprint;
 

@@ -7,8 +7,8 @@
  * full-consumption check at the end). The engine memos — scheduler
  * scan caches, DRAM horizon memos, dispatch saturation
  * flags — are serialized rather than reset so a restored run takes
- * the exact same engine path (skipTick replays stall charges from the
- * scan memos) as a run that never stopped.
+ * the exact same engine path (the schedulers replay stall charges from
+ * their scan memos) as a run that never stopped.
  */
 
 #include "snapshot/snapshot.hh"
@@ -830,7 +830,6 @@ struct SnapshotAccess
         w.u64(gpu.quotaGenSeen);
         w.b(gpu.dispatchBlocked);
         w.u64(gpu.dispatchBlockedUntil);
-        w.b(gpu.policyDirty);
 
         w.tag("ENDS");
         return w.take();
@@ -917,7 +916,6 @@ struct SnapshotAccess
         gpu.quotaGenSeen = r.u64();
         gpu.dispatchBlocked = r.b();
         gpu.dispatchBlockedUntil = r.u64();
-        gpu.policyDirty = r.b();
 
         r.tag("ENDS");
         r.finish();
@@ -942,12 +940,9 @@ std::string
 snapshotMachineFingerprint(const GpuConfig &cfg)
 {
     // Canonicalize the knobs that cannot change simulated state:
-    // clock skipping is bit-identical at tick boundaries, audits and
-    // the watchdog are read-only. The format version rides along
-    // so layout changes invalidate old fingerprints everywhere at
-    // once (snapshot files AND warm-start cache keys).
+    // audits and the watchdog are read-only. The format version rides
+    // along so a layout change invalidates every old fingerprint.
     GpuConfig canon = cfg;
-    canon.clockSkip = true;
     canon.auditCadence = 0;
     canon.watchdogCycles = 0;
     return configFingerprint(canon) +

@@ -6,14 +6,12 @@
  * queues, staging), the kernel table, the slicing policy's internal
  * state, stats counters, and the deterministic engine memos — so a
  * restored machine continues bit-identically to one that never
- * stopped. Because clock skipping is bit-identical at tick boundaries,
- * a snapshot taken with it on is a legal restart point with it off and
- * vice versa; the machine fingerprint canonicalizes that knob away.
+ * stopped.
  *
- * Consumers: warm-start co-run fan-out (harness/snapshot_cache.hh),
- * resumable sweeps (--snapshot/--restore in wslicer-sim), and
- * bisection-by-replay (re-running a failure window under --audit=1
- * from the nearest checkpoint).
+ * Consumers: the serving layer's chaos rollback, resumable sweeps
+ * (--snapshot/--restore in wslicer-sim), the fuzzer's round-trip
+ * check, and bisection-by-replay (re-running a failure window under
+ * --audit=1 from the nearest checkpoint).
  */
 
 #ifndef WSL_SNAPSHOT_SNAPSHOT_HH
@@ -32,12 +30,11 @@ class Gpu;
 
 /**
  * Fingerprint of the *simulated machine* a snapshot belongs to: every
- * GpuConfig field, with the pure-performance engine knob (clockSkip)
- * and the read-only integrity knobs (auditCadence, watchdogCycles)
- * canonicalized away, plus the snapshot format
+ * GpuConfig field, with the read-only integrity knobs (auditCadence,
+ * watchdogCycles) canonicalized away, plus the snapshot format
  * version. Two configs with equal fingerprints produce bit-identical
- * machines, so a snapshot may be restored across engine variants —
- * including into an audit-enabled build for bisection-by-replay.
+ * machines, so a snapshot may be restored into an audit-enabled
+ * machine for bisection-by-replay.
  */
 std::string snapshotMachineFingerprint(const GpuConfig &cfg);
 

@@ -104,10 +104,6 @@ class TelemetrySampler
 
     /** Current stride; > the configured interval after compactions. */
     Cycle stride() const { return sampleStride; }
-    /** Cycle of the next sample; onCycleEnd fires during the tick of
-     *  cycle nextSampleAt()-1 (after the ++now), so clock skipping must
-     *  keep the horizon at or below nextSampleAt()-1. */
-    Cycle nextSampleAt() const { return nextAt; }
     /** How many times the series was pairwise-merged to stay bounded. */
     unsigned compactions() const { return numCompactions; }
     /** Highest kernel id observed plus one. */

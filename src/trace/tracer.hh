@@ -28,7 +28,7 @@ enum class TraceEvent : std::uint8_t
     KernelLaunch,   //!< a=grid dim
     KernelFinish,   //!< a=1 if halted at target, 0 if grid completed
     ProfileStart,   //!< a=profiling round
-    Decision,       //!< a=packed CTA quotas (4 bits each), b=spatial
+    Decision,       //!< a=packed CTA quotas (8 bits each), b=spatial
     Reprofile,      //!< a=profiling round
 };
 

@@ -59,13 +59,25 @@ barrierKernel()
 }
 
 GpuConfig
-auditedConfig(Cycle cadence, Cycle watchdog = 0, bool skip = true)
+auditedConfig(Cycle cadence, Cycle watchdog = 0)
 {
     GpuConfig cfg = GpuConfig::baseline();
     cfg.auditCadence = cadence;
     cfg.watchdogCycles = watchdog;
-    cfg.clockSkip = skip;
     return cfg;
+}
+
+/** Exact counter-level equality via the canonical field lists. */
+void
+expectStatsEqual(const GpuStats &a, const GpuStats &b)
+{
+    SmStats::forEachField([&](const char *name, auto member) {
+        EXPECT_EQ(a.*member, b.*member) << "SmStats field " << name;
+    });
+    PartitionStats::forEachField([&](const char *name, auto member) {
+        EXPECT_EQ(a.*member, b.*member)
+            << "PartitionStats field " << name;
+    });
 }
 
 } // namespace
@@ -128,8 +140,7 @@ TEST(RingQueue, UnderflowGuard)
 
 TEST(Auditor, CleanSoloRunAtMaxCadence)
 {
-    Gpu gpu(auditedConfig(1, 0, false),
-            std::make_unique<LeftOverPolicy>());
+    Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(smallKernel());
     ASSERT_NE(gpu.integrityAuditor(), nullptr);
     EXPECT_NO_THROW(gpu.run(1'000'000));
@@ -137,7 +148,7 @@ TEST(Auditor, CleanSoloRunAtMaxCadence)
     EXPECT_GT(gpu.integrityAuditor()->auditsRun(), 100u);
 }
 
-TEST(Auditor, CleanCoRunWithClockSkip)
+TEST(Auditor, CleanCoRun)
 {
     Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("NN"), 200'000);
@@ -181,6 +192,30 @@ TEST(Auditor, CadenceSchedulesNextAudit)
     EXPECT_EQ(aud->cadence(), 500u);
     EXPECT_GE(aud->auditsRun(), 1u);
     EXPECT_GT(aud->nextAuditAt(), gpu.cycle() - 500);
+
+    // A cadence unrelated to anything the workload does: audits land
+    // after the first tick and then every 677 cycles (1, 678, ...,
+    // 19634), leaving the next one due at 20311.
+    Gpu mm(auditedConfig(677), std::make_unique<LeftOverPolicy>());
+    mm.launchKernel(benchmark("MM"));
+    mm.run(20'000);
+    ASSERT_EQ(mm.cycle(), 20'000u);
+    EXPECT_EQ(mm.integrityAuditor()->auditsRun(), 30u);
+    EXPECT_EQ(mm.integrityAuditor()->nextAuditAt(), 20'311u);
+}
+
+TEST(Auditor, AuditsAreReadOnly)
+{
+    // An audit after every cycle must leave every counter exactly as
+    // an unaudited run leaves it.
+    auto run = [](Cycle cadence) {
+        Gpu gpu(auditedConfig(cadence),
+                std::make_unique<LeftOverPolicy>());
+        gpu.launchKernel(benchmark("MM"));
+        EXPECT_NO_THROW(gpu.run(6'000));
+        return gpu.collectStats();
+    };
+    expectStatsEqual(run(1), run(0));
 }
 
 // ---- No-progress watchdog ----
@@ -230,27 +265,24 @@ TEST(Watchdog, DetectsInjectedBarrierDeadlockWithinBound)
     }
 }
 
-TEST(Watchdog, DetectsDeadlockUnderClockSkipAndWithout)
+TEST(Watchdog, FiresAtTheExactDeadline)
 {
-    // The skip-horizon cap must keep detection bounded with bulk
-    // skipping enabled too.
-    for (const bool skip : {false, true}) {
-        constexpr Cycle wd = 300;
-        Gpu gpu(auditedConfig(0, wd, skip),
-                std::make_unique<LeftOverPolicy>());
-        gpu.launchKernel(barrierKernel());
-        gpu.run(2'000);
-        for (unsigned s = 0; s < gpu.numSms(); ++s)
-            gpu.sm(s).injectBarrierHangForTest();
-        const Cycle injected = gpu.cycle();
-        try {
-            gpu.run(1'000'000);
-            FAIL() << "watchdog never fired (clockSkip="
-                   << (skip ? "true" : "false") << ")";
-        } catch (const DeadlockError &e) {
-            EXPECT_GE(e.stalledFor(), wd);
-            EXPECT_LE(e.cycle(), injected + wd + 5'000);
-        }
+    // The parked machine's last progress is its in-flight memory
+    // draining; the watchdog must throw exactly W cycles later, on the
+    // cycle the machine stopped at.
+    constexpr Cycle wd = 300;
+    Gpu gpu(auditedConfig(0, wd), std::make_unique<LeftOverPolicy>());
+    gpu.launchKernel(barrierKernel());
+    gpu.run(2'000);
+    for (unsigned s = 0; s < gpu.numSms(); ++s)
+        gpu.sm(s).injectBarrierHangForTest();
+    try {
+        gpu.run(1'000'000);
+        FAIL() << "watchdog never fired on a parked machine";
+    } catch (const DeadlockError &e) {
+        EXPECT_EQ(e.cycle(), 2'343u);
+        EXPECT_EQ(e.stalledFor(), wd);
+        EXPECT_EQ(gpu.cycle(), e.cycle());
     }
 }
 
@@ -276,8 +308,7 @@ TEST(Evict, InstructionTargetEvictionPassesMaxCadenceAudits)
 
 TEST(Evict, ManualEvictionWithParkedWarpsAndInFlightLoads)
 {
-    Gpu gpu(auditedConfig(1, 0, false),
-            std::make_unique<LeftOverPolicy>());
+    Gpu gpu(auditedConfig(1), std::make_unique<LeftOverPolicy>());
     const KernelId kid = gpu.launchKernel(barrierKernel());
     gpu.run(600);  // loads in flight, warps mid-iteration
     ASSERT_FALSE(gpu.allKernelsDone());

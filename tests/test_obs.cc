@@ -3,10 +3,9 @@
  * Tests for the observability layer: the JSON document model and
  * parser, the counter registry's exporters, run manifests, the
  * result-diff rules (regression / threshold / cross-host skip), the
- * decision-log renderer, and the two properties the whole subsystem
- * promises — attaching the profiler, registry, and decision log
- * leaves the simulation bit-identical, and the decision log itself is
- * deterministic across clock-skip modes.
+ * decision-log renderer, and the property the whole subsystem
+ * promises: attaching the profiler, registry, and decision log leaves
+ * the simulation bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -397,10 +396,9 @@ struct ObservedRun
 /** A small MM+LBM co-run under the Dynamic policy with everything
  *  observable attached (or nothing, when `observed` is false). */
 ObservedRun
-smallCoRun(bool observed, bool clock_skip)
+smallCoRun(bool observed)
 {
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = clock_skip;
+    const GpuConfig cfg = GpuConfig::baseline();
     const Cycle window = 6000;
     Characterization chars(cfg, window);
 
@@ -451,61 +449,43 @@ expectStatsEqual(const GpuStats &a, const GpuStats &b)
 
 TEST(ObsIdentity, ProfilerRegistryAndLogDoNotPerturbSimulation)
 {
-    const ObservedRun off = smallCoRun(false, true);
-    const ObservedRun on = smallCoRun(true, true);
+    const ObservedRun off = smallCoRun(false);
+    const ObservedRun on = smallCoRun(true);
     EXPECT_EQ(off.result.makespan, on.result.makespan);
     EXPECT_EQ(off.result.sysIpc, on.result.sysIpc);
     EXPECT_EQ(off.result.chosenCtas, on.result.chosenCtas);
     expectStatsEqual(off.result.stats, on.result.stats);
 }
 
-TEST(ObsIdentity, DecisionLogDeterministicAcrossClockSkip)
+TEST(ObsProfiler, CountsEveryCycleAsATick)
 {
-    const ObservedRun skip = smallCoRun(true, true);
-    const ObservedRun noskip = smallCoRun(true, false);
-    EXPECT_FALSE(skip.decisionJson.empty());
-    EXPECT_EQ(skip.decisionJson, noskip.decisionJson);
-    expectStatsEqual(skip.result.stats, noskip.result.stats);
-}
-
-TEST(ObsProfiler, CountsTicksAndAttributesHorizons)
-{
-    GpuConfig cfg = GpuConfig::baseline();
-    cfg.clockSkip = true;
-    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
+    Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("MM"));
     EngineProfiler prof;
     gpu.attachEngineProfiler(&prof);
     gpu.run(3000);
     prof.harvest(gpu);
 
-    EXPECT_GT(prof.ticks(), 0u);
-    // Every simulated cycle is either a full tick or part of a bulk
-    // skip.
-    EXPECT_EQ(gpu.cycle(), prof.ticks() + prof.skippedCycles());
-    std::uint64_t caps = 0;
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(HorizonCap::NumCaps); ++c)
-        caps += prof.capCount(static_cast<HorizonCap>(c));
-    EXPECT_GT(caps, 0u);
+    EXPECT_EQ(gpu.cycle(), 3000u);
+    EXPECT_EQ(prof.ticks(), gpu.cycle());
     EXPECT_GT(prof.schedulerScans(), 0u);
     EXPECT_GT(prof.phaseNs(EpochPhase::SmCompute), 0u);
 
     std::ostringstream os;
     prof.writeJson(os);
     const JsonValue doc = parsed(os.str());
-    EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-profile-v2");
+    EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-profile-v3");
     EXPECT_EQ(doc.numberOr("ticks", 0),
               static_cast<double>(prof.ticks()));
-    EXPECT_EQ(doc.numberOr("skipped_cycles", -1),
-              static_cast<double>(prof.skippedCycles()));
+    for (const char *gone : {"horizon_caps", "skips", "skipped_cycles"})
+        EXPECT_EQ(doc.find(gone), nullptr) << gone;
     EXPECT_EQ(doc.find("fused_cycles"), nullptr);
     EXPECT_EQ(doc.find("tick_pool"), nullptr);
 }
 
 TEST(ObsDecisionLog, RendererExplainsTheRecordedDecision)
 {
-    const ObservedRun run = smallCoRun(true, true);
+    const ObservedRun run = smallCoRun(true);
     const JsonValue doc = parsed(run.decisionJson);
     EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-decisions-v1");
     std::ostringstream os;

@@ -2,13 +2,17 @@
  * @file
  * Unit tests for the SM core driven standalone, with the test acting
  * as the memory system: CTA lifecycle, resource accounting, barriers,
- * scoreboard behavior, quotas, eviction, and scheduler variants.
+ * scoreboard behavior, quotas, eviction, and scheduler variants. The
+ * SoA hot-state tests at the end drive the core through a whole GPU.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "check/auditor.hh"
+#include "core/policies.hh"
+#include "gpu/gpu.hh"
 #include "sm/sm_core.hh"
 #include "workloads/benchmarks.hh"
 
@@ -406,4 +410,62 @@ TEST(SmCore, UtilizationIntegralsAccumulate)
     const SmStats &s = rig.sm.stats();
     EXPECT_EQ(s.regsAllocatedIntegral, 10u * 16u * 64u);
     EXPECT_EQ(s.threadsAllocatedIntegral, 10u * 64u);
+}
+
+// ---- SoA hot state, driven through the whole GPU ----
+
+namespace {
+
+struct SoloRun
+{
+    Cycle cycles = 0;
+    std::uint64_t insts = 0;
+    GpuStats stats;
+};
+
+SoloRun
+soloWindow(const char *bench, Cycle window)
+{
+    Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
+    const KernelId kid = gpu.launchKernel(benchmark(bench));
+    gpu.run(window);
+    return {gpu.cycle(), gpu.kernelThreadInsts(kid), gpu.collectStats()};
+}
+
+} // namespace
+
+TEST(SoaHotState, SchedulerScanIsDeterministic)
+{
+    // The SoA scheduler scan (readiness bitmasks over WarpHot arrays)
+    // issues the same instruction stream on every run.
+    const SoloRun a = soloWindow("IMG", 8'000);
+    const SoloRun b = soloWindow("IMG", 8'000);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.insts, b.insts);
+    SmStats::forEachField([&](const char *name, auto member) {
+        EXPECT_EQ(a.stats.*member, b.stats.*member)
+            << "SmStats field " << name;
+    });
+    PartitionStats::forEachField([&](const char *name, auto member) {
+        EXPECT_EQ(a.stats.*member, b.stats.*member)
+            << "PartitionStats field " << name;
+    });
+}
+
+TEST(SoaHotState, AuditorBitmaskRescanPassesAtMaxCadence)
+{
+    // The auditor's readiness-bitmask check rebuilds every mask from a
+    // per-warp rescan of the SoA hot arrays and compares. At cadence 1
+    // it runs after every cycle of a mixed co-run; any divergence
+    // between the split hot/cold state and the masks throws
+    // InvariantViolation.
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.auditCadence = 1;
+    Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
+    gpu.launchKernel(benchmark("MM"), 200'000);
+    gpu.launchKernel(benchmark("LBM"), 200'000);
+    EXPECT_NO_THROW(gpu.run(5'000));
+    ASSERT_NE(gpu.integrityAuditor(), nullptr);
+    EXPECT_GT(gpu.cycle(), 1'000u);
+    EXPECT_EQ(gpu.integrityAuditor()->auditsRun(), gpu.cycle());
 }

@@ -1,10 +1,9 @@
 /**
  * @file
- * Snapshot/restore engine tests: bit-identity of restored runs with
- * clock skipping on and off, the typed rejection of damaged or
- * mismatched snapshot files, warm-start co-run fan-out equivalence
- * (including decision-log replay), and checkpoint/resume through the
- * harness.
+ * Snapshot/restore engine tests: bit-identity of restored runs, the
+ * typed rejection of damaged or mismatched snapshot files, and
+ * checkpoint/resume through the harness (including decision-log
+ * replay across a restore).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "expect_throw.hh"
 #include "gpu/gpu.hh"
 #include "harness/runner.hh"
-#include "harness/snapshot_cache.hh"
 #include "obs/decision_log.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
@@ -34,18 +32,7 @@ namespace {
 
 constexpr Cycle kWindow = 40000;
 constexpr Cycle kSplit = 17000;  //!< snapshot point mid-run
-
-/** The engine variants: clock skipping on and off (bit-identical by
- *  construction). */
-const bool kVariants[] = {true, false};
-
-GpuConfig
-variantConfig(bool clock_skip)
-{
-    GpuConfig cfg;
-    cfg.clockSkip = clock_skip;
-    return cfg;
-}
+const GpuConfig kCfg = GpuConfig::baseline();
 
 /** A two-kernel machine with the Dynamic policy mid-lifecycle: the
  *  snapshot must carry profiling state, quotas, and (with targets)
@@ -121,31 +108,27 @@ tempPath(const std::string &name)
 
 TEST(Snapshot, RoundTripMatchesUninterruptedRun)
 {
-    for (const bool v : kVariants) {
-        const GpuConfig cfg = variantConfig(v);
+    auto cold = makeMachine(kCfg);
+    cold->run(kWindow);
+    const MachineDigest want = digest(*cold);
 
-        auto cold = makeMachine(cfg);
-        cold->run(kWindow);
-        const MachineDigest want = digest(*cold);
+    auto first = makeMachine(kCfg);
+    first->run(kSplit);
+    const std::vector<std::uint8_t> snap = saveSnapshot(*first);
 
-        auto first = makeMachine(cfg);
-        first->run(kSplit);
-        const std::vector<std::uint8_t> snap = saveSnapshot(*first);
+    auto resumed = std::make_unique<Gpu>(
+        kCfg, std::make_unique<WarpedSlicerPolicy>(
+                  scaledSlicerOptions(kWindow)));
+    restoreSnapshot(*resumed, snap);
+    EXPECT_EQ(resumed->cycle(), kSplit);
+    resumed->run(kWindow - kSplit);
 
-        auto resumed = std::make_unique<Gpu>(
-            cfg, std::make_unique<WarpedSlicerPolicy>(
-                     scaledSlicerOptions(kWindow)));
-        restoreSnapshot(*resumed, snap);
-        EXPECT_EQ(resumed->cycle(), kSplit);
-        resumed->run(kWindow - kSplit);
+    expectDigestsEqual(digest(*resumed), want);
 
-        expectDigestsEqual(digest(*resumed), want);
-
-        // The interrupted donor, continued in place, must also match:
-        // saving is read-only.
-        first->run(kWindow - kSplit);
-        expectDigestsEqual(digest(*first), want);
-    }
+    // The interrupted donor, continued in place, must also match:
+    // saving is read-only.
+    first->run(kWindow - kSplit);
+    expectDigestsEqual(digest(*first), want);
 }
 
 TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
@@ -155,10 +138,9 @@ TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
     // survivor, and later re-admit the preempted kernel by restoring
     // the checkpoint. The re-admitted run must land on final stats
     // byte-identical to a run that was never preempted.
-    const GpuConfig cfg = variantConfig(true);
     auto makeTargeted = [&] {
         auto gpu = std::make_unique<Gpu>(
-            cfg, std::make_unique<WarpedSlicerPolicy>(
+            kCfg, std::make_unique<WarpedSlicerPolicy>(
                      scaledSlicerOptions(kWindow)));
         gpu->launchKernel(benchmark("MM"), 5'000'000);
         gpu->launchKernel(benchmark("LBM"), 3'000'000);
@@ -194,8 +176,8 @@ TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
     // Re-admit: the checkpoint carries the evicted kernel's mid-flight
     // state, so resuming finishes both kernels bit-identically.
     auto resumed = std::make_unique<Gpu>(
-        cfg, std::make_unique<WarpedSlicerPolicy>(
-                 scaledSlicerOptions(kWindow)));
+        kCfg, std::make_unique<WarpedSlicerPolicy>(
+                  scaledSlicerOptions(kWindow)));
     restoreSnapshot(*resumed, snap);
     EXPECT_EQ(resumed->cycle(), kSplit);
     resumed->run(50'000'000);
@@ -203,41 +185,16 @@ TEST(Snapshot, PreemptAndResumeMatchesUninterrupted)
     expectDigestsEqual(digest(*resumed), want);
 }
 
-TEST(Snapshot, RestoreCrossesEngineVariants)
-{
-    // Capture under the skipping engine, restore under both variants:
-    // tick boundaries are variant-independent machine states, and the
-    // fingerprint canonicalizes the clockSkip knob.
-    auto donor = makeMachine(variantConfig(true));
-    donor->run(kSplit);
-    const std::vector<std::uint8_t> snap = saveSnapshot(*donor);
-
-    for (const bool v : kVariants) {
-        const GpuConfig cfg = variantConfig(v);
-        auto cold = makeMachine(cfg);
-        cold->run(kWindow);
-        const MachineDigest want = digest(*cold);
-
-        auto resumed = std::make_unique<Gpu>(
-            cfg, std::make_unique<WarpedSlicerPolicy>(
-                     scaledSlicerOptions(kWindow)));
-        restoreSnapshot(*resumed, snap);
-        resumed->run(kWindow - kSplit);
-        expectDigestsEqual(digest(*resumed), want);
-    }
-}
-
 TEST(Snapshot, SegmentedRunsAndAuditedReplayMatch)
 {
     // run(a); save; restore; run(b) chains compose arbitrarily, and a
     // bisection-style replay under --audit=1 reproduces the same
     // machine (audits are read-only).
-    const GpuConfig cfg = variantConfig(true);
-    auto cold = makeMachine(cfg);
+    auto cold = makeMachine(kCfg);
     cold->run(kWindow);
     const MachineDigest want = digest(*cold);
 
-    auto stepped = makeMachine(cfg);
+    auto stepped = makeMachine(kCfg);
     std::vector<std::uint8_t> snap;
     for (Cycle at = 8000; at < kWindow; at += 8000) {
         stepped->run(at - stepped->cycle());
@@ -246,7 +203,7 @@ TEST(Snapshot, SegmentedRunsAndAuditedReplayMatch)
     stepped->run(kWindow - stepped->cycle());
     expectDigestsEqual(digest(*stepped), want);
 
-    GpuConfig audited = cfg;
+    GpuConfig audited = kCfg;
     audited.auditCadence = 1;
     audited.watchdogCycles = 5000;
     auto replay = std::make_unique<Gpu>(
@@ -263,13 +220,13 @@ TEST(Snapshot, SegmentedRunsAndAuditedReplayMatch)
 
 TEST(Snapshot, RejectsDamagedFiles)
 {
-    auto gpu = makeMachine(variantConfig(true));
+    auto gpu = makeMachine(kCfg);
     gpu->run(5000);
     const std::vector<std::uint8_t> good = saveSnapshot(*gpu);
 
     auto fresh = [] {
         return std::make_unique<Gpu>(
-            variantConfig(true),
+            kCfg,
             std::make_unique<WarpedSlicerPolicy>(
                 scaledSlicerOptions(kWindow)));
     };
@@ -307,12 +264,12 @@ TEST(Snapshot, RejectsDamagedFiles)
 
 TEST(Snapshot, RejectsMachineAndPolicyMismatches)
 {
-    auto gpu = makeMachine(variantConfig(true));
+    auto gpu = makeMachine(kCfg);
     gpu->run(5000);
     const std::vector<std::uint8_t> snap = saveSnapshot(*gpu);
 
     // A simulated-machine parameter differs: refuse.
-    GpuConfig other = variantConfig(true);
+    GpuConfig other = kCfg;
     other.l1Size = 32 * 1024;
     Gpu other_gpu(other, std::make_unique<WarpedSlicerPolicy>(
                              scaledSlicerOptions(kWindow)));
@@ -320,13 +277,12 @@ TEST(Snapshot, RejectsMachineAndPolicyMismatches)
                          SnapshotError, "different machine");
 
     // Same machine, different policy: refuse.
-    Gpu wrong_policy(variantConfig(true),
-                     std::make_unique<SpatialPolicy>());
+    Gpu wrong_policy(kCfg, std::make_unique<SpatialPolicy>());
     WSL_EXPECT_THROW_MSG(restoreSnapshot(wrong_policy, snap),
                          SnapshotError, "policy");
 
     // A machine that already ran is not a restore target.
-    auto used = makeMachine(variantConfig(true));
+    auto used = makeMachine(kCfg);
     used->run(100);
     WSL_EXPECT_THROW_MSG(restoreSnapshot(*used, snap), SnapshotError,
                          "freshly constructed");
@@ -334,7 +290,7 @@ TEST(Snapshot, RejectsMachineAndPolicyMismatches)
 
 TEST(Snapshot, RefusesToCaptureWithTelemetryAttached)
 {
-    auto gpu = makeMachine(variantConfig(true));
+    auto gpu = makeMachine(kCfg);
     TelemetrySampler sampler(TelemetryConfig{1000, 4096});
     gpu->attachTelemetry(&sampler);
     gpu->run(3000);
@@ -347,9 +303,8 @@ TEST(Snapshot, RefusesToCaptureWithTelemetryAttached)
 TEST(Snapshot, FileRoundTripAndProbe)
 {
     const std::string path = tempPath("wsl_test_snapshot.bin");
-    const GpuConfig cfg = variantConfig(true);
 
-    auto gpu = makeMachine(cfg);
+    auto gpu = makeMachine(kCfg);
     gpu->run(kSplit);
     writeSnapshotFile(*gpu, path);
 
@@ -358,13 +313,13 @@ TEST(Snapshot, FileRoundTripAndProbe)
     EXPECT_EQ(info.formatVersion, snapshotFormatVersion);
     EXPECT_EQ(info.captureCycle, kSplit);
     EXPECT_EQ(info.machineFingerprint,
-              snapshotMachineFingerprint(cfg));
+              snapshotMachineFingerprint(kCfg));
 
-    auto cold = makeMachine(cfg);
+    auto cold = makeMachine(kCfg);
     cold->run(kWindow);
     auto resumed = std::make_unique<Gpu>(
-        cfg, std::make_unique<WarpedSlicerPolicy>(
-                 scaledSlicerOptions(kWindow)));
+        kCfg, std::make_unique<WarpedSlicerPolicy>(
+                  scaledSlicerOptions(kWindow)));
     restoreSnapshotFile(*resumed, path);
     resumed->run(kWindow - resumed->cycle());
     expectDigestsEqual(digest(*resumed), digest(*cold));
@@ -374,13 +329,11 @@ TEST(Snapshot, FileRoundTripAndProbe)
                          "cannot open snapshot");
 }
 
-TEST(Snapshot, EngineKnobsShareAFingerprint)
+TEST(Snapshot, IntegrityKnobsShareAFingerprint)
 {
-    const GpuConfig base = variantConfig(true);
-    for (const bool v : kVariants) {
-        EXPECT_EQ(snapshotMachineFingerprint(variantConfig(v)),
-                  snapshotMachineFingerprint(base));
-    }
+    // Audits and the watchdog are read-only, so a snapshot restores
+    // into an audited machine for bisection-by-replay.
+    const GpuConfig base = kCfg;
     GpuConfig audited = base;
     audited.auditCadence = 100;
     audited.watchdogCycles = 10000;
@@ -393,7 +346,7 @@ TEST(Snapshot, EngineKnobsShareAFingerprint)
               snapshotMachineFingerprint(base));
 }
 
-// ---- Harness integration: warm-start fan-out, checkpoint/resume ----
+// ---- Harness integration: checkpoint/resume ----
 
 namespace {
 
@@ -430,12 +383,17 @@ decisionJson(const DecisionLog &log)
 
 } // namespace
 
-TEST(Snapshot, WarmStartCoRunIsByteIdenticalToCold)
+TEST(Snapshot, CheckpointedDynamicRunReplaysItsDecisionLog)
 {
+    // A Dynamic co-run with a decision log attached, checkpointed
+    // after its first decision and before MM halts at its target: the
+    // checkpoint carries the capture side's log entries, so the
+    // resumed run reproduces both the cold result and the cold run's
+    // decision log.
+    const std::string path = tempPath("wsl_test_dynamic_checkpoint.bin");
     const std::vector<KernelParams> apps = {benchmark("MM"),
                                             benchmark("LBM")};
-    const std::vector<std::uint64_t> targets = {400000, 300000};
-    const GpuConfig cfg = variantConfig(true);
+    const std::vector<std::uint64_t> targets = {7'000'000, 50'000'000};
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
@@ -443,32 +401,30 @@ TEST(Snapshot, WarmStartCoRunIsByteIdenticalToCold)
     DecisionLog cold_log;
     cold_opts.decisionLog = &cold_log;
     const CoRunResult cold = runCoSchedule(apps, targets,
-                                           PolicyKind::Dynamic, cfg,
+                                           PolicyKind::Dynamic, kCfg,
                                            cold_opts);
+    ASSERT_FALSE(cold_log.entries().empty());
+    ASSERT_LT(cold_log.entries().front().cycle, kWindow / 2);
+    ASSERT_GT(cold.apps[0].cycles, kWindow / 2);
 
-    SnapshotCache cache;
-    CoRunOptions warm_opts = cold_opts;
-    warm_opts.warmStart = &cache;
-    warm_opts.warmStartAt = kWindow / 2;
+    CoRunOptions ckpt_opts = cold_opts;
+    DecisionLog ckpt_log;
+    ckpt_opts.decisionLog = &ckpt_log;
+    ckpt_opts.maxCycles = kWindow / 2;
+    ckpt_opts.snapshotAt = kWindow / 2;
+    ckpt_opts.snapshotPath = path;
+    runCoSchedule(apps, targets, PolicyKind::Dynamic, kCfg, ckpt_opts);
 
-    DecisionLog warm_log;
-    warm_opts.decisionLog = &warm_log;
-    const CoRunResult warm = runCoSchedule(apps, targets,
-                                           PolicyKind::Dynamic, cfg,
-                                           warm_opts);
-    expectCoRunsEqual(warm, cold);
-    EXPECT_EQ(decisionJson(warm_log), decisionJson(cold_log));
-    EXPECT_EQ(cache.misses(), 1u);
+    CoRunOptions resume_opts = cold_opts;
+    DecisionLog resumed_log;
+    resume_opts.decisionLog = &resumed_log;
+    resume_opts.restorePath = path;
+    const CoRunResult resumed = runCoSchedule(
+        apps, targets, PolicyKind::Dynamic, kCfg, resume_opts);
+    expectCoRunsEqual(resumed, cold);
+    EXPECT_EQ(decisionJson(resumed_log), decisionJson(cold_log));
 
-    // Second identical job: pure cache hit, same bytes, same result.
-    DecisionLog warm2_log;
-    warm_opts.decisionLog = &warm2_log;
-    const CoRunResult warm2 = runCoSchedule(apps, targets,
-                                            PolicyKind::Dynamic, cfg,
-                                            warm_opts);
-    expectCoRunsEqual(warm2, cold);
-    EXPECT_EQ(decisionJson(warm2_log), decisionJson(cold_log));
-    EXPECT_EQ(cache.hits(), 1u);
+    std::remove(path.c_str());
 }
 
 TEST(Snapshot, CheckpointedRunResumesToIdenticalResult)
@@ -477,12 +433,11 @@ TEST(Snapshot, CheckpointedRunResumesToIdenticalResult)
     const std::vector<KernelParams> apps = {benchmark("NN"),
                                             benchmark("HOT")};
     const std::vector<std::uint64_t> targets = {250000, 250000};
-    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
     const CoRunResult cold = runCoSchedule(apps, targets,
-                                           PolicyKind::LeftOver, cfg,
+                                           PolicyKind::LeftOver, kCfg,
                                            cold_opts);
 
     // Interrupted run: checkpoint mid-way, stop there.
@@ -490,20 +445,20 @@ TEST(Snapshot, CheckpointedRunResumesToIdenticalResult)
     ckpt_opts.maxCycles = kWindow / 2;
     ckpt_opts.snapshotAt = kWindow / 2;
     ckpt_opts.snapshotPath = path;
-    runCoSchedule(apps, targets, PolicyKind::LeftOver, cfg, ckpt_opts);
+    runCoSchedule(apps, targets, PolicyKind::LeftOver, kCfg, ckpt_opts);
 
     // Resume from the file and finish the original interval.
     CoRunOptions resume_opts = cold_opts;
     resume_opts.restorePath = path;
     const CoRunResult resumed = runCoSchedule(
-        apps, targets, PolicyKind::LeftOver, cfg, resume_opts);
+        apps, targets, PolicyKind::LeftOver, kCfg, resume_opts);
     expectCoRunsEqual(resumed, cold);
 
     // A resume with mismatched targets (stale characterization) is
     // refused with a pointer at the window.
     const std::vector<std::uint64_t> wrong = {111111, 250000};
     WSL_EXPECT_THROW_MSG(
-        runCoSchedule(apps, wrong, PolicyKind::LeftOver, cfg,
+        runCoSchedule(apps, wrong, PolicyKind::LeftOver, kCfg,
                       resume_opts),
         SnapshotError, "instruction target");
 
@@ -516,12 +471,11 @@ TEST(Snapshot, PeriodicCheckpointsResumeFromLastEpoch)
     const std::vector<KernelParams> apps = {benchmark("MM"),
                                             benchmark("BFS")};
     const std::vector<std::uint64_t> targets = {300000, 200000};
-    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions cold_opts;
     cold_opts.maxCycles = kWindow;
     const CoRunResult cold = runCoSchedule(apps, targets,
-                                           PolicyKind::Even, cfg,
+                                           PolicyKind::Even, kCfg,
                                            cold_opts);
 
     // Periodic checkpoints all the way to the end; the file is left
@@ -530,7 +484,7 @@ TEST(Snapshot, PeriodicCheckpointsResumeFromLastEpoch)
     ckpt_opts.checkpointEvery = kWindow / 5;
     ckpt_opts.snapshotPath = path;
     const CoRunResult ckpt = runCoSchedule(
-        apps, targets, PolicyKind::Even, cfg, ckpt_opts);
+        apps, targets, PolicyKind::Even, kCfg, ckpt_opts);
     expectCoRunsEqual(ckpt, cold);  // checkpointing is observation-only
 
     // ...so resuming is either a no-op continuation or a short tail,
@@ -538,7 +492,7 @@ TEST(Snapshot, PeriodicCheckpointsResumeFromLastEpoch)
     CoRunOptions resume_opts = cold_opts;
     resume_opts.restorePath = path;
     const CoRunResult resumed = runCoSchedule(
-        apps, targets, PolicyKind::Even, cfg, resume_opts);
+        apps, targets, PolicyKind::Even, kCfg, resume_opts);
     expectCoRunsEqual(resumed, cold);
 
     std::remove(path.c_str());
@@ -548,19 +502,18 @@ TEST(Snapshot, CheckpointOptionValidation)
 {
     const std::vector<KernelParams> apps = {benchmark("MM")};
     const std::vector<std::uint64_t> targets = {100000};
-    const GpuConfig cfg = variantConfig(true);
 
     CoRunOptions opts;
     opts.maxCycles = 10000;
     opts.snapshotAt = 5000;  // no snapshotPath
     WSL_EXPECT_THROW_MSG(runCoSchedule(apps, targets,
-                                       PolicyKind::LeftOver, cfg, opts),
+                                       PolicyKind::LeftOver, kCfg, opts),
                          ConfigError, "snapshotPath");
 
     opts.snapshotPath = tempPath("wsl_test_never_written.bin");
     TelemetrySampler sampler(TelemetryConfig{1000, 4096});
     opts.telemetry = &sampler;
     WSL_EXPECT_THROW_MSG(runCoSchedule(apps, targets,
-                                       PolicyKind::LeftOver, cfg, opts),
+                                       PolicyKind::LeftOver, kCfg, opts),
                          ConfigError, "telemetry");
 }

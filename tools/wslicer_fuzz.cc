@@ -7,17 +7,15 @@
  * pressure, barrier and divergence behavior, memory patterns), then
  * runs it with the invariant auditor at maximum cadence and the
  * no-progress watchdog armed. Any InvariantViolation, DeadlockError,
- * or InternalError is a finding: the driver re-runs the same seed with
- * clock skipping disabled to shrink the failure to its first failing
- * cycle on the reference loop, prints both reports, and exits
- * non-zero.
+ * or InternalError is a finding: the fuzzer re-runs the same seed at
+ * audit cadence 1 to shrink the failure to its first failing cycle,
+ * prints both reports, and exits non-zero.
  *
  *   wslicer-fuzz [--seeds N] [--start-seed S] [--cycles C]
- *                [--cadence K] [--watchdog W] [--no-skip]
- *                [--snapshot]
+ *                [--cadence K] [--watchdog W] [--snapshot]
  *
  * Defaults: 50 seeds from 1, 20000 cycles each, audit cadence 1,
- * watchdog 10000 cycles, clock skipping randomized per seed.
+ * watchdog 10000 cycles.
  *
  * --snapshot switches every seed to a snapshot round-trip probe: the
  * scenario runs cold to completion, then again to a random cycle
@@ -50,7 +48,6 @@ struct FuzzOptions
     Cycle cycles = 20'000;
     Cycle cadence = 1;
     Cycle watchdog = 10'000;
-    bool forceNoSkip = false;
     bool snapshotMode = false;  //!< random-horizon round-trip probes
 };
 
@@ -67,7 +64,7 @@ usage()
     std::fprintf(stderr,
                  "usage: wslicer-fuzz [--seeds N] [--start-seed S] "
                  "[--cycles C] [--cadence K] [--watchdog W] "
-                 "[--no-skip] [--snapshot]\n");
+                 "[--snapshot]\n");
     std::exit(2);
 }
 
@@ -126,7 +123,6 @@ buildScenario(std::uint64_t seed, const FuzzOptions &opt)
     sc.cfg.l1Mshrs = mshr_choices[rng.range(4)];
     sc.cfg.scheduler =
         rng.chance(0.5) ? SchedulerKind::Gto : SchedulerKind::Lrr;
-    sc.cfg.clockSkip = opt.forceNoSkip ? false : rng.chance(0.7);
     sc.cfg.auditCadence = opt.cadence;
     sc.cfg.watchdogCycles = opt.watchdog;
     sc.cfg.seed = seed;
@@ -293,8 +289,6 @@ main(int argc, char **argv)
             opt.cadence = std::strtoull(next(), nullptr, 10);
         else if (arg == "--watchdog")
             opt.watchdog = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--no-skip")
-            opt.forceNoSkip = true;
         else if (arg == "--snapshot")
             opt.snapshotMode = true;
         else
@@ -319,31 +313,26 @@ main(int argc, char **argv)
             continue;
         }
         ++failures;
-        std::printf("fuzz: seed %llu FAILED (%u kernels, %s, "
-                    "clockSkip=%d)\n%s\n",
+        std::printf("fuzz: seed %llu FAILED (%u kernels, %s)\n%s\n",
                     static_cast<unsigned long long>(seed),
                     static_cast<unsigned>(sc.kernels.size()),
-                    policyName(sc.kind), sc.cfg.clockSkip ? 1 : 0,
-                    err.c_str());
-        // Shrink: same seed on the per-cycle reference loop at audit
-        // cadence 1 pins the first failing cycle and tells skip bugs
-        // apart from genuine invariant breaks.
+                    policyName(sc.kind), err.c_str());
+        // Shrink: the same seed at audit cadence 1 pins the first
+        // failing cycle.
         FuzzOptions shrink_opt = opt;
         shrink_opt.cadence = 1;
-        shrink_opt.forceNoSkip = true;
-        Scenario shrunk = buildScenario(seed, shrink_opt);
-        shrunk.cfg.clockSkip = false;
+        const Scenario shrunk = buildScenario(seed, shrink_opt);
         const std::string shrunk_err =
             opt.snapshotMode
                 ? runSnapshotScenario(shrunk, opt.cycles, seed)
                 : runScenario(shrunk, opt.cycles);
         if (shrunk_err.empty()) {
-            std::printf("fuzz: seed %llu shrink: clean without clock "
-                        "skipping — suspect the skip fast path\n",
+            std::printf("fuzz: seed %llu shrink: clean at audit cadence "
+                        "1 — audits are read-only, so suspect "
+                        "nondeterminism\n",
                         static_cast<unsigned long long>(seed));
         } else {
-            std::printf("fuzz: seed %llu shrink (no-skip, cadence 1):\n"
-                        "%s\n",
+            std::printf("fuzz: seed %llu shrink (cadence 1):\n%s\n",
                         static_cast<unsigned long long>(seed),
                         shrunk_err.c_str());
         }

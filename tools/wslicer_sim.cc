@@ -84,7 +84,6 @@ struct Options
     SchedulerKind sched = SchedulerKind::Gto;
     bool large = false;
     std::string preset;  //!< baseline|large|dc ("" = --large/baseline)
-    bool noSkip = false;  //!< force the per-cycle reference loop
     Cycle auditCadence = 0;    //!< 0 = integrity audits off
     Cycle watchdogCycles = 0;  //!< 0 = no-progress watchdog off
     std::string csvPath;
@@ -126,8 +125,6 @@ usage(const char *argv0)
                  "fixed:Q1,Q2[,Q3]\n"
                  "         --sched gto|lrr --csv FILE --json FILE --trace FILE\n"
                  "         --stats-interval N --timeline FILE --jobs N\n"
-                 "         --no-skip (disable event-horizon clock "
-                 "skipping; bit-identical, slower)\n"
                  "         --audit[=N] (run integrity audits every N "
                  "cycles; default 10000)\n"
                  "         --watchdog-cycles N (fail with a deadlock "
@@ -209,8 +206,6 @@ parseArgs(int argc, char **argv)
             opt.large = true;
         else if (arg == "--preset")
             opt.preset = next();
-        else if (arg == "--no-skip")
-            opt.noSkip = true;
         else if (arg == "--audit")
             opt.auditCadence = 10'000;
         else if (arg.rfind("--audit=", 0) == 0) {
@@ -301,7 +296,6 @@ makeConfig(const Options &opt)
                         : GpuConfig::baseline();
     }
     cfg.scheduler = opt.sched;
-    cfg.clockSkip = !opt.noSkip;
     cfg.auditCadence = opt.auditCadence;
     cfg.watchdogCycles = opt.watchdogCycles;
     // Fail here with an actionable message, not deep in construction.
@@ -786,11 +780,9 @@ cmdCombos(const Options &opt)
             table.addRow({std::to_string(combos[i][0]),
                           std::to_string(combos[i][1]),
                           "failed(" + r.error.kind + ")", "-"});
-            std::fprintf(stderr,
-                         "combo %d,%d failed (%s, %u retries): %s\n",
+            std::fprintf(stderr, "combo %d,%d failed (%s): %s\n",
                          combos[i][0], combos[i][1],
-                         r.error.kind.c_str(), r.error.retries,
-                         r.error.message.c_str());
+                         r.error.kind.c_str(), r.error.message.c_str());
             continue;
         }
         table.addRow({std::to_string(combos[i][0]),
