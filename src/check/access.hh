@@ -49,7 +49,6 @@ struct AuditAccess
     static const std::array<int, maxConcurrentKernels> &
     quotas(const SmCore &sm) { return sm.quotas; }
 
-    static bool maskUsable(const SmCore &sm) { return sm.maskUsable; }
     static std::uint64_t issuableMask(const SmCore &sm)
     {
         return sm.issuableMask;

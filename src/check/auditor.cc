@@ -4,7 +4,7 @@
  * of cached accounting from the ground-truth state it summarizes:
  * allocator sums from CTA allocations, MSHR occupancy from in-flight
  * load transactions, scoreboard bits from pending writebacks, the
- * PR 3 readiness bitmasks from a legacy per-warp scan, and queue
+ * scheduler's warp bitmasks from a per-warp recomputation, and queue
  * conservation from accepted/serviced counters. A divergence means a
  * fast path drifted from the state it mirrors — exactly the class of
  * bug that silently corrupts sweep results.
@@ -258,8 +258,8 @@ checkSmBarriers(const Gpu &gpu, std::vector<std::string> &out)
 }
 
 /**
- * The PR 3 readiness/blocked/barrier/unit bitmasks cross-checked
- * against the legacy per-warp scan they replaced, plus scheduler-list
+ * The scheduler's readiness/blocked/barrier/unit bitmasks cross-checked
+ * against an independent per-warp recomputation, plus scheduler-list
  * membership (each live warp on exactly its widx-mod-schedulers list,
  * mirrored by schedListMask).
  */
@@ -272,7 +272,7 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
         const auto &warps = AuditAccess::hotWarps(sm);
         const auto &lists = AuditAccess::schedLists(sm);
 
-        // Scheduler-list membership (valid with or without masks).
+        // Scheduler-list membership.
         std::vector<unsigned> seen(warps.size(), 0);
         for (std::size_t sc = 0; sc < lists.size(); ++sc) {
             for (std::uint16_t widx : lists[sc]) {
@@ -304,10 +304,7 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
             }
         }
 
-        if (!AuditAccess::maskUsable(sm))
-            continue;
-
-        // Legacy per-warp recomputation of all seven fast-path masks.
+        // Per-warp recomputation of all seven masks.
         std::uint64_t issuable = 0, memBlocked = 0, shortBlocked = 0;
         std::uint64_t barrier = 0, aluNext = 0, sfuNext = 0, ldstNext = 0;
         for (std::size_t w = 0; w < warps.size(); ++w) {
@@ -352,7 +349,7 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
                 std::ostringstream os;
                 os << "SM " << s << ": " << m.name << "Mask 0x"
                    << std::hex << m.cached
-                   << " != legacy per-warp scan 0x" << m.scanned;
+                   << " != per-warp recomputation 0x" << m.scanned;
                 out.push_back(os.str());
             }
         }

@@ -20,7 +20,11 @@ regBit(int reg)
     return reg >= 0 ? (std::uint32_t{1} << (reg & 31)) : 0u;
 }
 
-/** Why this warp is not issuing, mirroring tryIssue's outcome order. */
+/**
+ * Why this warp is not issuing, tested in the order the scheduler scan
+ * charges stalls (barrier, empty i-buffer, long- then short-latency
+ * scoreboard), and telling a pending fetch apart from an idle one.
+ */
 const char *
 stallReason(const WarpHot &h, const WarpState &w)
 {

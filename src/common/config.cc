@@ -70,6 +70,13 @@ GpuConfig::validate() const
                " is not a multiple of warpSize " +
                std::to_string(warpSize));
     }
+    if (maxWarpsPerSm() > 64) {
+        reject("maxThreadsPerSm " + std::to_string(maxThreadsPerSm) +
+               " is " + std::to_string(maxWarpsPerSm()) +
+               " warps — the warp scheduler tracks an SM's warps in "
+               "64-bit masks, so at most 64 warps (" +
+               std::to_string(64 * warpSize) + " threads) fit");
+    }
     if (maxCtasPerSm == 0)
         reject("maxCtasPerSm is 0 — no CTA can ever launch");
     if (numRegsPerSm == 0)

@@ -31,7 +31,7 @@ struct GpuConfig
     SchedulerKind scheduler = SchedulerKind::Gto;
 
     // ---- Per-SM resources (Table I) ----
-    unsigned maxThreadsPerSm = 1536;
+    unsigned maxThreadsPerSm = 1536;  //!< at most 64 warps (validate())
     unsigned numRegsPerSm = 32768;  //!< 32-bit registers (128 KB file)
     unsigned maxCtasPerSm = 8;
     unsigned sharedMemPerSm = 48 * 1024;

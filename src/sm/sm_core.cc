@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/log.hh"
 
@@ -28,8 +27,6 @@ srcMaskOf(const Instruction &inst)
 void
 SmCore::updateIssuable(std::uint16_t widx)
 {
-    if (!maskUsable)
-        return;
     const std::uint64_t bit = std::uint64_t{1} << widx;
     const WarpHot &w = hot[widx];
     if (!w.active || w.finished) {
@@ -46,9 +43,9 @@ SmCore::updateIssuable(std::uint16_t widx)
         issuableMask |= bit;
     else
         issuableMask &= ~bit;
-    // Scoreboard overlap of the next instruction, mirroring tryIssue's
-    // hazard tests (long checked before short). The pc is always valid
-    // for a live warp: advanceWarp wraps it before returning.
+    // Scoreboard overlap of the next instruction (the scan checks long
+    // before short). The pc is always valid for a live warp:
+    // advanceWarp wraps it before returning.
     const Instruction &inst = w.program->body[w.pc];
     const std::uint32_t touched = srcMaskOf(inst) | regBit(inst.dst);
     if (touched & w.pendingLong)
@@ -90,7 +87,6 @@ SmCore::SmCore(const GpuConfig &c, SmId id)
     freeWarpSlots.reserve(warps.size());
     for (unsigned w = 0; w < warps.size(); ++w)
         freeWarpSlots.push_back(static_cast<std::uint16_t>(w));
-    maskUsable = warps.size() <= 64;
     schedLists.resize(cfg.numSchedulers);
     schedListMask.assign(cfg.numSchedulers, 0);
     lastIssued.assign(cfg.numSchedulers, -1);
@@ -166,9 +162,7 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
         w.age = ageCounter++;
         cta.warpIdxs.push_back(widx);
         schedLists[widx % cfg.numSchedulers].push_back(widx);
-        if (maskUsable)
-            schedListMask[widx % cfg.numSchedulers] |=
-                std::uint64_t{1} << widx;
+        schedListMask[widx % cfg.numSchedulers] |= std::uint64_t{1} << widx;
         fetchQueue.push({widx, w.epoch});
         ++liveWarps;
         updateIssuable(widx);
@@ -243,9 +237,8 @@ SmCore::evictKernel(KernelId kid)
                                [&](std::uint16_t w) {
                                    if (hot[w].active)
                                        return false;
-                                   if (maskUsable)
-                                       schedListMask[s] &=
-                                           ~(std::uint64_t{1} << w);
+                                   schedListMask[s] &=
+                                       ~(std::uint64_t{1} << w);
                                    return true;
                                }),
                 list.end());
@@ -382,9 +375,7 @@ SmCore::finishWarp(std::uint16_t widx)
     // slots every cycle until the whole CTA retires.
     auto &list = schedLists[widx % cfg.numSchedulers];
     list.erase(std::find(list.begin(), list.end(), widx));
-    if (maskUsable)
-        schedListMask[widx % cfg.numSchedulers] &=
-            ~(std::uint64_t{1} << widx);
+    schedListMask[widx % cfg.numSchedulers] &= ~(std::uint64_t{1} << widx);
     invalidateScanCache();
     const int cta_slot = warps[widx].ctaSlot;
     CtaSlot &cta = ctas[cta_slot];
@@ -440,58 +431,30 @@ SmCore::advanceWarp(std::uint16_t widx, Cycle now)
     updateIssuable(widx);
 }
 
-SmCore::IssueOutcome
+bool
 SmCore::tryIssue(std::uint16_t widx, unsigned sched, Cycle now)
 {
+    WSL_DASSERT(((issuableMask & ~memBlockedMask & ~shortBlockedMask) >>
+                 widx) & 1,
+                "tryIssue on a warp its masks rule out");
     WarpHot &h = hot[widx];
-    if (h.atBarrier)
-        return IssueOutcome::Barrier;
-    if (h.ibuf == 0)
-        return IssueOutcome::Empty;
-
     const Instruction &inst = h.program->body[h.pc];
-    const std::uint32_t touched = srcMaskOf(inst) | regBit(inst.dst);
-    if (touched & h.pendingLong)
-        return IssueOutcome::MemWait;
-    if (touched & h.pendingShort)
-        return IssueOutcome::ShortWait;
-
-    switch (unitOf(inst.op)) {
-      case UnitKind::Alu:
-        if (aluBusyUntil[sched] > now)
-            return IssueOutcome::ExecBusy;
-        break;
-      case UnitKind::Sfu:
-        if (sfuBusyUntil > now)
-            return IssueOutcome::ExecBusy;
-        break;
-      case UnitKind::Ldst: {
-        if (ldstBusyUntil > now)
-            return IssueOutcome::ExecBusy;
-        if (isGlobalMem(inst.op)) {
-            // Structural backpressure from the memory system counts as
-            // a long-memory-latency stall (the warp is blocked on the
-            // memory system, not on a pipeline).
-            const CtaSlot &cta = ctas[warps[widx].ctaSlot];
-            const unsigned trans = cta.params->mem.transactionsPerAccess;
-            if (outRequests.size() + trans > cfg.l1MissQueue * 2)
-                return IssueOutcome::MemWait;
-            if (isLoad(inst.op)) {
-                // Conservative MSHR precheck: every transaction may
-                // allocate a new MSHR.
-                if (!l1.mshrAvailable(trans))
-                    return IssueOutcome::MemWait;
-            }
-        }
-        break;
-      }
-      case UnitKind::None:
-        break;
+    if (isGlobalMem(inst.op)) {
+        // Structural backpressure from the memory system counts as a
+        // long-memory-latency stall (the warp is blocked on the memory
+        // system, not on a pipeline).
+        const CtaSlot &cta = ctas[warps[widx].ctaSlot];
+        const unsigned trans = cta.params->mem.transactionsPerAccess;
+        if (outRequests.size() + trans > cfg.l1MissQueue * 2)
+            return false;
+        // Conservative MSHR precheck: every transaction may allocate a
+        // new MSHR.
+        if (isLoad(inst.op) && !l1.mshrAvailable(trans))
+            return false;
     }
-
     executeIssue(h, warps[widx], inst, widx, sched, now);
     advanceWarp(widx, now);
-    return IssueOutcome::Issued;
+    return true;
 }
 
 void
@@ -690,205 +653,96 @@ SmCore::runScheduler(unsigned sched, Cycle now)
     memo.valid = false;
     ++engineSchedScans;
 
-    unsigned counts[6] = {0, 0, 0, 0, 0, 0};
-    // Per-kernel outcome counts feed stall attribution; zeroing and
-    // updating them per scanned warp is measurable, so the whole
-    // attribution path stays behind the telemetry flag (hoisted to a
-    // local so the scan loop tests a register, not a member reload).
-    const bool attribute = recordTelemetry;
-    unsigned kernelCounts[maxConcurrentKernels][6];
-    if (attribute)
-        std::memset(kernelCounts, 0, sizeof(kernelCounts));
-    unsigned scanned = 0;
-    bool issued = false;
-
-    const bool useMask = maskUsable && !attribute;
-    if (useMask) {
-        // Two-phase mask scan. Phase 1 visits only candidate warps —
-        // issuable with a clean scoreboard — since everything else is
-        // a bit-provable failure; this touches no WarpState at all for
-        // blocked warps. Candidate failures (structural hazards) are
-        // counted as they happen; the counts are simply abandoned if a
-        // later candidate issues. If nothing issues, the scan failed,
-        // counting no longer depends on scan order, and the remaining
-        // outcomes come from popcounts over the masks.
-        // Warps whose next instruction needs a currently-busy unit are
-        // certain ExecBusy outcomes (tryIssue tests the unit before
-        // any structural memory check), so they are popcounted, never
-        // visited.
-        std::uint64_t busyBlocked = 0;
-        if (aluBusyUntil[sched] > now)
-            busyBlocked |= aluNextMask;
-        if (sfuBusyUntil > now)
-            busyBlocked |= sfuNextMask;
-        if (ldstBusyUntil > now)
-            busyBlocked |= ldstNextMask;
-        const std::uint64_t clean =
-            issuableMask & ~memBlockedMask & ~shortBlockedMask;
-        const std::uint64_t cand = clean & ~busyBlocked;
-        if (schedKind == SchedulerKind::Gto) {
-            const int greedy = lastIssued[sched];
-            if (greedy >= 0 && ((cand >> greedy) & 1) &&
-                (greedy % static_cast<int>(cfg.numSchedulers)) ==
-                    static_cast<int>(sched)) {
-                const IssueOutcome o = tryIssue(
-                    static_cast<std::uint16_t>(greedy), sched, now);
-                if (o == IssueOutcome::Issued)
-                    return;
-                ++counts[static_cast<unsigned>(o)];
-            }
-            for (std::uint16_t widx : list) {
-                if (static_cast<int>(widx) == greedy ||
-                    !((cand >> widx) & 1))
-                    continue;
-                const IssueOutcome o = tryIssue(widx, sched, now);
-                if (o == IssueOutcome::Issued) {
-                    lastIssued[sched] = widx;
-                    return;
-                }
-                ++counts[static_cast<unsigned>(o)];
-            }
-        } else {
-            const unsigned n = static_cast<unsigned>(list.size());
-            const unsigned start = rrPos[sched] % n;
-            for (unsigned i = 0; i < n; ++i) {
-                const unsigned pos = (start + i) % n;
-                const std::uint16_t widx = list[pos];
-                if (!((cand >> widx) & 1))
-                    continue;
-                const IssueOutcome o = tryIssue(widx, sched, now);
-                if (o == IssueOutcome::Issued) {
-                    lastIssued[sched] = widx;
-                    rrPos[sched] = pos + 1;
-                    return;
-                }
-                ++counts[static_cast<unsigned>(o)];
-            }
-        }
-
-        const std::uint64_t live = schedListMask[sched];
-        counts[static_cast<unsigned>(IssueOutcome::Barrier)] =
-            static_cast<unsigned>(std::popcount(live & barrierMask));
-        counts[static_cast<unsigned>(IssueOutcome::Empty)] =
-            static_cast<unsigned>(
-                std::popcount(live & ~issuableMask & ~barrierMask));
-        counts[static_cast<unsigned>(IssueOutcome::MemWait)] +=
-            static_cast<unsigned>(
-                std::popcount(live & issuableMask & memBlockedMask));
-        counts[static_cast<unsigned>(IssueOutcome::ShortWait)] +=
-            static_cast<unsigned>(std::popcount(
-                live & issuableMask & ~memBlockedMask &
-                shortBlockedMask));
-        counts[static_cast<unsigned>(IssueOutcome::ExecBusy)] +=
-            static_cast<unsigned>(
-                std::popcount(live & clean & busyBlocked));
-        scanned = static_cast<unsigned>(std::popcount(live));
-    } else {
-
-    auto consider = [&](std::uint16_t widx) -> bool {
-        const WarpHot &w = hot[widx];
-        if (!w.active || w.finished)
-            return false;
-        // The masks prove what tryIssue would return without touching
-        // anything: a clear issuable bit means Barrier (checked first
-        // there) or Empty, and a set blocked bit means MemWait or
-        // ShortWait (in that priority). Resolve those outcomes from
-        // bit tests and call tryIssue only for genuine candidates.
-        IssueOutcome outcome;
-        if (maskUsable && !((issuableMask >> widx) & 1))
-            outcome = w.atBarrier ? IssueOutcome::Barrier
-                                  : IssueOutcome::Empty;
-        else if (maskUsable && ((memBlockedMask >> widx) & 1))
-            outcome = IssueOutcome::MemWait;
-        else if (maskUsable && ((shortBlockedMask >> widx) & 1))
-            outcome = IssueOutcome::ShortWait;
-        else
-            outcome = tryIssue(widx, sched, now);
-        if (outcome == IssueOutcome::Issued) {
-            lastIssued[sched] = widx;
-            issued = true;
-            return true;
-        }
-        ++counts[static_cast<unsigned>(outcome)];
-        if (attribute)
-            ++kernelCounts[warps[widx].kernel]
-                          [static_cast<unsigned>(outcome)];
-        ++scanned;
-        return false;
-    };
-
+    // The candidates are the warps no mask rules out: issuable, with a
+    // clean scoreboard, and bound for a free unit. Only they are
+    // visited, in GTO or LRR order; tryIssue can still refuse one on
+    // memory backpressure, which `refused` records.
+    std::uint64_t busyBlocked = 0;
+    if (aluBusyUntil[sched] > now)
+        busyBlocked |= aluNextMask;
+    if (sfuBusyUntil > now)
+        busyBlocked |= sfuNextMask;
+    if (ldstBusyUntil > now)
+        busyBlocked |= ldstNextMask;
+    const std::uint64_t clean =
+        issuableMask & ~memBlockedMask & ~shortBlockedMask;
+    const std::uint64_t cand = clean & ~busyBlocked;
+    std::uint64_t refused = 0;
     if (schedKind == SchedulerKind::Gto) {
         // Greedy-then-oldest: stick with the last issued warp, then
         // fall back to the oldest ready warp.
         const int greedy = lastIssued[sched];
-        if (greedy >= 0 && hot[greedy].active &&
-            !hot[greedy].finished &&
-            warps[greedy].kernel != invalidKernel) {
-            // Only if it is still on this scheduler's list.
-            if ((greedy % static_cast<int>(cfg.numSchedulers)) ==
+        if (greedy >= 0 && ((cand >> greedy) & 1) &&
+            (greedy % static_cast<int>(cfg.numSchedulers)) ==
                 static_cast<int>(sched)) {
-                if (consider(static_cast<std::uint16_t>(greedy)))
-                    return;
-            }
+            if (tryIssue(static_cast<std::uint16_t>(greedy), sched, now))
+                return;
+            refused |= std::uint64_t{1} << greedy;
         }
         for (std::uint16_t widx : list) {
-            if (static_cast<int>(widx) == greedy)
+            if (static_cast<int>(widx) == greedy || !((cand >> widx) & 1))
                 continue;
-            if (consider(widx))
+            if (tryIssue(widx, sched, now)) {
+                lastIssued[sched] = widx;
                 return;
+            }
+            refused |= std::uint64_t{1} << widx;
         }
     } else {
         // Loose round robin over the resident warps.
         const unsigned n = static_cast<unsigned>(list.size());
-        unsigned start = rrPos[sched] % n;
+        const unsigned start = rrPos[sched] % n;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned pos = (start + i) % n;
-            if (consider(list[pos])) {
+            const std::uint16_t widx = list[pos];
+            if (!((cand >> widx) & 1))
+                continue;
+            if (tryIssue(widx, sched, now)) {
+                lastIssued[sched] = widx;
                 rrPos[sched] = pos + 1;
                 return;
             }
+            refused |= std::uint64_t{1} << widx;
         }
     }
 
-    }  // !useMask (per-warp consider scan)
-
-    if (issued)
-        return;
-
-    StallKind kind = StallKind::Idle;
+    // Nothing issued, so each live warp failed for exactly one reason
+    // and these masks partition the live warps.
+    const std::uint64_t live = schedListMask[sched];
+    const std::uint64_t ready = live & issuableMask;
+    const std::uint64_t outcomes[] = {
+        (ready & memBlockedMask) | refused,
+        ready & ~memBlockedMask & shortBlockedMask,
+        live & clean & busyBlocked,
+        live & ~issuableMask & ~barrierMask,
+        live & barrierMask};
+    static constexpr StallKind kinds[] = {
+        StallKind::MemLatency, StallKind::RawHazard,
+        StallKind::ExecResource, StallKind::IBufferEmpty,
+        StallKind::Barrier};
+    // Charge the majority outcome, ties broken Mem > RAW > Exec >
+    // IBuffer > Barrier to match the paper's accounting priority.
+    unsigned best = 0;
+    int most = std::popcount(outcomes[0]);
+    for (unsigned i = 1; i < 5; ++i) {
+        const int count = std::popcount(outcomes[i]);
+        if (count > most) {
+            best = i;
+            most = count;
+        }
+    }
+    const StallKind kind = kinds[best];
     int culprit = invalidKernel;
-    if (scanned > 0) {
-        // Majority outcome, ties broken Mem > RAW > Exec > IBuffer >
-        // Barrier to match the paper's accounting priority.
-        static const IssueOutcome order[] = {
-            IssueOutcome::MemWait, IssueOutcome::ShortWait,
-            IssueOutcome::ExecBusy, IssueOutcome::Empty,
-            IssueOutcome::Barrier};
-        static const StallKind kinds[] = {
-            StallKind::MemLatency, StallKind::RawHazard,
-            StallKind::ExecResource, StallKind::IBufferEmpty,
-            StallKind::Barrier};
-        unsigned best = 0;
-        for (unsigned i = 0; i < 5; ++i) {
-            const unsigned c = counts[static_cast<unsigned>(order[i])];
-            if (c > counts[static_cast<unsigned>(order[best])])
-                best = i;
-        }
-        const unsigned chosen = static_cast<unsigned>(order[best]);
-        if (counts[chosen] > 0) {
-            kind = kinds[best];
-            // Attribute the stall to the kernel whose warps dominated
-            // the charged outcome (per-tenant Figure-1 profiles).
-            if (attribute) {
-                unsigned most = 0;
-                for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
-                    if (kernelCounts[k][chosen] > most) {
-                        most = kernelCounts[k][chosen];
-                        culprit = static_cast<int>(k);
-                    }
-                }
-            }
-        }
+    if (recordTelemetry) {
+        // Attribute the stall to the kernel whose warps dominate the
+        // charged outcome (per-tenant Figure 1 profiles); on a tie the
+        // lowest kernel id wins.
+        std::array<unsigned, maxConcurrentKernels> perKernel{};
+        for (std::uint64_t m = outcomes[best]; m != 0; m &= m - 1)
+            ++perKernel[warps[std::countr_zero(m)].kernel];
+        culprit = static_cast<int>(
+            std::max_element(perKernel.begin(), perKernel.end()) -
+            perKernel.begin());
     }
     chargeStall(kind, culprit);
 

@@ -179,16 +179,6 @@ class SmCore
   private:
     friend struct AuditAccess;
     friend struct SnapshotAccess;
-    /** Why a warp could not issue this cycle. */
-    enum class IssueOutcome
-    {
-        Issued,
-        Empty,      //!< i-buffer empty
-        Barrier,
-        MemWait,    //!< RAW on an outstanding global load
-        ShortWait,  //!< RAW on an ALU/SFU/shared-mem result
-        ExecBusy    //!< pipeline or memory-queue structural hazard
-    };
 
     struct PendingLoad
     {
@@ -225,7 +215,7 @@ class SmCore
     struct ScanCacheEntry
     {
         bool valid = false;
-        /** First cycle at which a time-dependent (ExecBusy) outcome
+        /** First cycle at which a time-dependent (busy-unit) outcome
          *  could flip; ~Cycle{0} when no pipeline was busy. */
         Cycle validUntil = 0;
         StallKind kind = StallKind::Idle;
@@ -242,7 +232,12 @@ class SmCore
     void runFetch(Cycle now);
     void runScheduler(unsigned sched, Cycle now);
     void chargeStall(StallKind kind, int culprit);
-    IssueOutcome tryIssue(std::uint16_t widx, unsigned sched, Cycle now);
+    /**
+     * Issue a scan candidate unless memory backpressure (a full miss
+     * queue or no free MSHRs) refuses it; returns whether it issued.
+     * Every other hazard is ruled out by the masks that chose it.
+     */
+    bool tryIssue(std::uint16_t widx, unsigned sched, Cycle now);
     void executeIssue(WarpHot &hw, WarpState &warp,
                       const Instruction &inst, std::uint16_t widx,
                       unsigned sched, Cycle now);
@@ -254,13 +249,12 @@ class SmCore
     std::uint16_t allocLoadEntry();
 
     /**
-     * Recompute one warp's bits in issuableMask and the scoreboard
-     * blocked masks. Called on every state transition that can flip
-     * active/finished/atBarrier/ibuf or the next instruction's
-     * operand-vs-scoreboard overlap (issue, writeback, line fill);
-     * keeping the masks exact lets the scheduler scan resolve
-     * Barrier/Empty/MemWait/ShortWait outcomes from bit tests instead
-     * of tryIssue calls.
+     * Recompute one warp's bits in the readiness, scoreboard, barrier
+     * and next-unit masks. Called on every state transition that can
+     * flip active/finished/atBarrier/ibuf or the next instruction's
+     * operand-vs-scoreboard overlap (issue, writeback, line fill). The
+     * scheduler scan reads only these masks: they pick its candidates
+     * and, when nothing issues, give its stall counts.
      */
     void updateIssuable(std::uint16_t widx);
 
@@ -285,29 +279,29 @@ class SmCore
     std::array<unsigned, maxConcurrentKernels> resident{};
     std::uint32_t quotaGen = 0;
 
-    /** Bit per warp slot: active, unfinished, not at a barrier, and
-     *  holding a buffered instruction. Usable only while every warp
-     *  index fits a 64-bit word (maskUsable). */
+    // Warp masks, one bit per warp slot (GpuConfig::validate() caps an
+    // SM at 64 warps, so every slot has a bit).
+    /** Active, unfinished, not at a barrier, and holding a buffered
+     *  instruction. */
     std::uint64_t issuableMask = 0;
-    /** Bit per warp slot: the next instruction's registers overlap the
-     *  long-latency (memBlocked) or short-latency (shortBlocked)
-     *  scoreboard — exactly tryIssue's first two hazard tests. */
+    /** The next instruction's registers overlap the long-latency
+     *  (memBlocked) or short-latency (shortBlocked) scoreboard; the
+     *  scan counts such warps as memory or RAW failures, long first. */
     std::uint64_t memBlockedMask = 0;
     std::uint64_t shortBlockedMask = 0;
-    /** Bit per live warp slot waiting at a barrier. */
+    /** Live warp waiting at a barrier. */
     std::uint64_t barrierMask = 0;
-    /** Bit per live warp slot whose next instruction targets the given
-     *  execution unit; lets the scheduler resolve ExecBusy outcomes
-     *  for a busy unit without visiting the warps. */
+    /** Live warp whose next instruction targets the given execution
+     *  unit; while that unit is busy the scan counts these warps as
+     *  execution-resource failures without visiting them. */
     std::uint64_t aluNextMask = 0;
     std::uint64_t sfuNextMask = 0;
     std::uint64_t ldstNextMask = 0;
-    bool maskUsable = false;
 
     // Schedulers.
     std::vector<std::vector<std::uint16_t>> schedLists;  //!< age order
-    /** Warp-slot bit set per scheduler mirroring schedLists membership
-     *  (maintained only while maskUsable). */
+    /** Warp-slot bit set per scheduler mirroring schedLists
+     *  membership. */
     std::vector<std::uint64_t> schedListMask;
     std::vector<int> lastIssued;   //!< GTO greedy warp per scheduler
     std::vector<unsigned> rrPos;   //!< LRR rotation per scheduler

@@ -22,7 +22,7 @@ namespace wsl {
  * has no field-level compatibility story, by design — a snapshot is a
  * bit-exact machine image, not an interchange format.
  */
-inline constexpr std::uint32_t snapshotFormatVersion = 3;
+inline constexpr std::uint32_t snapshotFormatVersion = 4;
 
 /** Leading magic of every snapshot file. */
 inline constexpr char snapshotMagic[8] = {'W', 'S', 'L', 'S',

@@ -26,20 +26,21 @@ constexpr std::size_t footerSize = 8;         // checksum
 std::vector<std::uint8_t>
 frameSnapshot(const std::vector<std::uint8_t> &payload)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(headerSize + payload.size() + footerSize);
-    out.insert(out.end(), snapshotMagic, snapshotMagic + 8);
+    // memcpy into a sized buffer: g++ 12 reports false
+    // -Wstringop-overflow/-Warray-bounds on range inserts here.
+    std::vector<std::uint8_t> out(headerSize + payload.size() +
+                                  footerSize);
     const std::uint32_t version = snapshotFormatVersion;
     const std::uint64_t size = payload.size();
-    const auto *vp = reinterpret_cast<const std::uint8_t *>(&version);
-    const auto *sp = reinterpret_cast<const std::uint8_t *>(&size);
-    out.insert(out.end(), vp, vp + sizeof version);
-    out.insert(out.end(), sp, sp + sizeof size);
-    out.insert(out.end(), payload.begin(), payload.end());
     const std::uint64_t sum =
         snapshotChecksum(payload.data(), payload.size());
-    const auto *cp = reinterpret_cast<const std::uint8_t *>(&sum);
-    out.insert(out.end(), cp, cp + sizeof sum);
+    std::uint8_t *p = out.data();
+    std::memcpy(p, snapshotMagic, 8);
+    std::memcpy(p + 8, &version, sizeof version);
+    std::memcpy(p + 12, &size, sizeof size);
+    if (!payload.empty())
+        std::memcpy(p + headerSize, payload.data(), payload.size());
+    std::memcpy(p + headerSize + payload.size(), &sum, sizeof sum);
     return out;
 }
 

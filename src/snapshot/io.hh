@@ -69,18 +69,21 @@ class SnapWriter
     void
     tag(const char (&name)[5])
     {
-        data.insert(data.end(), name, name + 4);
+        raw(name, 4);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return data; }
     std::vector<std::uint8_t> take() { return std::move(data); }
 
   private:
+    /** Grow-then-memcpy rather than a range insert: g++ 12 reports
+     *  false -Wstringop-overflow/-Warray-bounds on the latter. */
     void
     raw(const void *p, std::size_t n)
     {
-        const auto *bytes_p = static_cast<const std::uint8_t *>(p);
-        data.insert(data.end(), bytes_p, bytes_p + n);
+        const std::size_t at = data.size();
+        data.resize(at + n);
+        std::memcpy(data.data() + at, p, n);
     }
 
     static_assert(std::endian::native == std::endian::little,

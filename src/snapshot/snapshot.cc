@@ -474,7 +474,6 @@ struct SnapshotAccess
         w.u64(s.aluNextMask);
         w.u64(s.sfuNextMask);
         w.u64(s.ldstNextMask);
-        w.b(s.maskUsable);
 
         w.u32(static_cast<std::uint32_t>(s.schedLists.size()));
         for (const std::vector<std::uint16_t> &list : s.schedLists) {
@@ -666,7 +665,6 @@ struct SnapshotAccess
         s.aluNextMask = r.u64();
         s.sfuNextMask = r.u64();
         s.ldstNextMask = r.u64();
-        s.maskUsable = r.b();
 
         const std::uint32_t nscheds = r.u32();
         checkCount(nscheds, s.schedLists.size(), "scheduler");

@@ -1,8 +1,8 @@
 /**
  * @file
- * End-to-end smoke tests for the wslicer-sim command-line driver,
- * run as a subprocess. CTest executes these from build/tests, so the
- * driver lives at ../tools/wslicer-sim.
+ * End-to-end smoke tests for the wslicer-sim command-line driver (and
+ * wslicer-fuzz's option parsing), run as subprocesses. CTest executes
+ * these from build/tests, so the tools live in ../tools.
  */
 
 #include <gtest/gtest.h>
@@ -17,24 +17,22 @@
 
 namespace {
 
-/** Locate the driver relative to common working directories. */
+/** Locate a tool relative to common working directories. */
 std::string
-cliPath()
+toolPath(const std::string &tool)
 {
-    for (const char *cand : {"../tools/wslicer-sim",
-                             "build/tools/wslicer-sim",
-                             "tools/wslicer-sim"}) {
-        if (std::ifstream(cand).good())
-            return cand;
+    for (const char *dir : {"../tools/", "build/tools/", "tools/"}) {
+        if (std::ifstream(dir + tool).good())
+            return dir + tool;
     }
     return {};
 }
 
-/** Run a command, returning (exit status, stdout). */
+/** Run a tool, returning (exit status, stdout and stderr). */
 std::pair<int, std::string>
-run(const std::string &args)
+run(const std::string &args, const std::string &tool = "wslicer-sim")
 {
-    const std::string cmd = cliPath() + " " + args + " 2>&1";
+    const std::string cmd = toolPath(tool) + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return {-1, ""};
@@ -49,7 +47,7 @@ run(const std::string &args)
 bool
 cliAvailable()
 {
-    return !cliPath().empty();
+    return !toolPath("wslicer-sim").empty();
 }
 
 } // namespace
@@ -170,4 +168,21 @@ TEST(Cli, UnknownSchedulerIsRejected)
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 2);
     EXPECT_NE(out.find("usage"), std::string::npos);
+}
+
+TEST(Cli, FuzzRejectsMalformedNumbers)
+{
+    if (toolPath("wslicer-fuzz").empty())
+        GTEST_SKIP() << "wslicer-fuzz not built next to the tests";
+    // Each must stop before any seed runs: read leniently, "--cycles
+    // abc" simulated 0 cycles and still reported every seed clean.
+    for (const char *flags :
+         {"--cycles abc", "--cycles 0", "--cadence 7q", "--seeds -1"}) {
+        const auto [status, out] =
+            run(std::string("--seeds 3 ") + flags, "wslicer-fuzz");
+        ASSERT_TRUE(WIFEXITED(status)) << flags;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+        EXPECT_NE(out.find("usage"), std::string::npos) << flags;
+        EXPECT_EQ(out.find("clean"), std::string::npos) << flags;
+    }
 }

@@ -78,6 +78,18 @@ TEST(ConfigValidate, RejectsThreadsNotMultipleOfWarp)
                          "maxThreadsPerSm");
 }
 
+TEST(ConfigValidate, RejectsMoreThan64WarpsPerSm)
+{
+    // The scheduler tracks an SM's warps in 64-bit masks.
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.maxThreadsPerSm = 65 * warpSize;
+    WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "maxThreadsPerSm");
+    cfg.maxThreadsPerSm = 64 * warpSize;
+    EXPECT_NO_THROW(cfg.validate());
+    EXPECT_NO_THROW(GpuConfig::largeResource().validate());
+    EXPECT_NO_THROW(GpuConfig::datacenter().validate());
+}
+
 TEST(ConfigValidate, RejectsInconsistentL1Geometry)
 {
     GpuConfig cfg = GpuConfig::baseline();

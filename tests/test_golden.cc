@@ -9,10 +9,17 @@
  *   - the first Figure 8 triple under Even and Dynamic,
  *   - one datacenter-preset MM+LBM Dynamic co-run,
  *   - one short clean serving run,
+ *   - `lrr:` the 30 pairs under Dynamic with the LRR scheduler,
+ *   - `telem:` the 30 pairs under Dynamic with a telemetry sampler
+ *     attached (1 000-cycle interval), which switches on per-kernel
+ *     stall attribution,
+ *   - `telem-lrr:` the same under the LRR scheduler,
  * all at a 10 000-cycle characterization window. A co-run line records
  * the makespan, the bits of sysIpc, the chosen CTAs and an FNV-1a hash
- * of every stats counter; the serve line hashes each job's outcome,
- * finish cycle and completed instructions.
+ * of every stats counter (kernel_stalls and unattributed_stalls
+ * included); a telemetry line adds `csv=`, the byte-wise FNV-1a hash of
+ * the sampler's CSV. The serve line hashes each job's outcome, finish
+ * cycle and completed instructions.
  *
  * The test writes the table it computed to golden_results.txt next to
  * its binary and compares it with tests/golden/results.txt. A change
@@ -34,6 +41,7 @@
 
 #include "harness/runner.hh"
 #include "serve/engine.hh"
+#include "telemetry/telemetry.hh"
 
 using namespace wsl;
 
@@ -61,6 +69,15 @@ class Fnv1a
     {
         for (const T &v : values)
             add(v);
+    }
+
+    void
+    addBytes(const std::string &bytes)
+    {
+        for (const unsigned char c : bytes) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
     }
 
     std::uint64_t value() const { return h; }
@@ -132,11 +149,24 @@ joined(const std::vector<std::string> &apps)
     return s;
 }
 
-/** Run one batch on `kWorkers` workers and append a line per job. */
+/**
+ * Run one batch on `kWorkers` workers and append a line per job. With
+ * `telemetry`, every job gets its own sampler and its line adds the
+ * hash of that sampler's CSV.
+ */
 void
 appendBatch(std::vector<std::string> &lines, const std::string &prefix,
-            const GpuConfig &cfg, const std::vector<CoRunJob> &batch)
+            const GpuConfig &cfg, std::vector<CoRunJob> batch,
+            bool telemetry = false)
 {
+    std::vector<TelemetrySampler> samplers;
+    if (telemetry) {
+        samplers.reserve(batch.size());  // keeps the pointers stable
+        for (CoRunJob &j : batch) {
+            samplers.emplace_back(TelemetryConfig{1000, 4096});
+            j.opts.telemetry = &samplers.back();
+        }
+    }
     Characterization chars(cfg, kWindow);
     const std::vector<CoRunResult> results =
         runCoScheduleBatch(chars, batch, kWorkers);
@@ -145,7 +175,15 @@ appendBatch(std::vector<std::string> &lines, const std::string &prefix,
                                   policyName(batch[i].kind);
         EXPECT_FALSE(results[i].error.failed)
             << label << ": " << results[i].error.message;
-        lines.push_back(coRunLine(label, results[i]));
+        std::string line = coRunLine(label, results[i]);
+        if (telemetry) {
+            std::ostringstream csv;
+            samplers[i].writeCsv(csv);
+            Fnv1a h;
+            h.addBytes(csv.str());
+            line += " csv=" + hex(h.value());
+        }
+        lines.push_back(line);
     }
 }
 
@@ -183,6 +221,17 @@ computeTable()
     const ServeResult served = runServe(resolveServeOptions(so));
     EXPECT_EQ(served.invariantViolations, 0u);
     lines.push_back(serveLine("serve:seed7", served));
+
+    // The scheduler's scan order and its telemetry-only stall
+    // attribution, which the blocks above never exercise.
+    std::vector<CoRunJob> dynamic;
+    for (const WorkloadPair &pair : evaluationPairs())
+        dynamic.push_back(job({pair.first, pair.second}, PolicyKind::Dynamic));
+    GpuConfig lrr = GpuConfig::baseline();
+    lrr.scheduler = SchedulerKind::Lrr;
+    appendBatch(lines, "lrr:", lrr, dynamic);
+    appendBatch(lines, "telem:", GpuConfig::baseline(), dynamic, true);
+    appendBatch(lines, "telem-lrr:", lrr, dynamic, true);
     return lines;
 }
 

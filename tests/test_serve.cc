@@ -269,8 +269,9 @@ TEST(ServeArrival, OpenLoopIsDeterministicAndHorizonBounded)
     for (std::size_t i = 0; i < sa.size(); ++i) {
         EXPECT_EQ(sa[i].cycle, sb[i].cycle);
         EXPECT_EQ(sa[i].tenant, sb[i].tenant);
-        if (i)
+        if (i) {
             EXPECT_GE(sa[i].cycle, sa[i - 1].cycle);
+        }
         EXPECT_LT(sa[i].cycle, cfg.horizon);
         EXPECT_LT(sa[i].tenant, classes.size());
     }
@@ -340,8 +341,9 @@ TEST(ServeChaos, SeededPlanIsDeterministicAndWellFormed)
         // Margins keep faults off the cold start and the drain.
         EXPECT_GE(f.cycle, horizon / 8);
         EXPECT_LE(f.cycle, horizon * 7 / 8);
-        if (i)
+        if (i) {
             EXPECT_GE(f.cycle, plan.faults[i - 1].cycle);
+        }
         ASSERT_LT(f.tenant, 3u);
         ++perTenant[f.tenant];
     }

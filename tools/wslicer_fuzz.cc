@@ -29,12 +29,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "harness/runner.hh"
+#include "parse_number.hh"
 #include "snapshot/snapshot.hh"
 
 using namespace wsl;
@@ -274,27 +275,33 @@ main(int argc, char **argv)
     FuzzOptions opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
+        // The next argument as a whole number (see parseNumber).
+        auto num = [&]() -> std::uint64_t {
             if (i + 1 >= argc)
                 usage();
-            return argv[++i];
+            const std::optional<std::uint64_t> value =
+                parseNumber<std::uint64_t>(argv[++i], "wslicer-fuzz",
+                                           arg.c_str());
+            if (!value)
+                usage();
+            return *value;
         };
         if (arg == "--seeds")
-            opt.seeds = std::strtoull(next(), nullptr, 10);
+            opt.seeds = num();
         else if (arg == "--start-seed")
-            opt.startSeed = std::strtoull(next(), nullptr, 10);
+            opt.startSeed = num();
         else if (arg == "--cycles")
-            opt.cycles = std::strtoull(next(), nullptr, 10);
+            opt.cycles = num();
         else if (arg == "--cadence")
-            opt.cadence = std::strtoull(next(), nullptr, 10);
+            opt.cadence = num();
         else if (arg == "--watchdog")
-            opt.watchdog = std::strtoull(next(), nullptr, 10);
+            opt.watchdog = num();
         else if (arg == "--snapshot")
             opt.snapshotMode = true;
         else
             usage();
     }
-    if (opt.seeds == 0 || opt.cadence == 0)
+    if (opt.seeds == 0 || opt.cycles == 0 || opt.cadence == 0)
         usage();
 
     unsigned failures = 0;

@@ -45,15 +45,12 @@
  * threads); results are bit-identical to serial runs.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
@@ -63,6 +60,7 @@
 #include "obs/engine_profiler.hh"
 #include "obs/manifest.hh"
 #include "obs/registry.hh"
+#include "parse_number.hh"
 #include "report/table.hh"
 #include "serve/engine.hh"
 #include "snapshot/snapshot.hh"
@@ -145,29 +143,15 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * Parse an entire option value as a T (an integer type, or double for
- * --rate). Empty input, a non-numeric value, trailing characters, a
- * sign on an unsigned type, overflow and non-finite reals all print
- * what was wrong and exit through usage().
- */
+/** parseNumber, exiting through usage() on a malformed value. */
 template <typename T>
 T
-parseNumber(const std::string &text, const char *what)
+numberArg(const std::string &text, const char *what)
 {
-    T value{};
-    const char *first = text.data();
-    const char *last = first + text.size();
-    const auto [end, ec] = std::from_chars(first, last, value);
-    bool ok = ec == std::errc{} && end == last;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value);
-    if (!ok) {
-        std::fprintf(stderr, "wslicer-sim: %s: '%s' is not a valid "
-                     "number\n", what, text.c_str());
+    const std::optional<T> value = parseNumber<T>(text, "wslicer-sim", what);
+    if (!value)
         usage("wslicer-sim");
-    }
-    return value;
+    return *value;
 }
 
 Options
@@ -186,7 +170,7 @@ parseArgs(int argc, char **argv)
         };
         // The next argument as a number of type T (see parseNumber).
         auto num = [&]<typename T>(T &out) {
-            out = parseNumber<T>(next(), arg.c_str());
+            out = numberArg<T>(next(), arg.c_str());
         };
         if (arg == "--cycles" || arg == "--window")
             num(opt.cycles);
@@ -209,7 +193,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--audit")
             opt.auditCadence = 10'000;
         else if (arg.rfind("--audit=", 0) == 0) {
-            opt.auditCadence = parseNumber<Cycle>(arg.substr(8), "--audit");
+            opt.auditCadence = numberArg<Cycle>(arg.substr(8), "--audit");
             if (opt.auditCadence == 0)
                 usage(argv[0]);
         } else if (arg == "--watchdog-cycles") {
@@ -404,7 +388,7 @@ parseFixedPolicy(const std::string &policy, std::size_t num_apps)
             rest.substr(pos, comma == std::string::npos
                                  ? std::string::npos
                                  : comma - pos);
-        quotas.push_back(parseNumber<int>(tok, "--policy fixed:"));
+        quotas.push_back(numberArg<int>(tok, "--policy fixed:"));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
