@@ -14,7 +14,8 @@
  *   --quick   evaluate only the first 6 pairs (CI-sized)
  *   --jobs N  worker threads for the parallel passes (default WSL_JOBS,
  *             0 = all hardware threads)
- *   --out F   JSON report path (default BENCH_sweep.json)
+ *   --out F   write the JSON report to F; without it no file is
+ *             written (exit 1 if F cannot be written)
  *
  * The solo-characterization cache is cleared before each pass so every
  * pass measures the complete pipeline (characterization + co-run
@@ -90,7 +91,7 @@ main(int argc, char **argv)
 {
     bool quick = false;
     unsigned jobs = defaultJobs();
-    std::string out_path = "BENCH_sweep.json";
+    std::string out_path;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
@@ -201,26 +202,28 @@ main(int argc, char **argv)
                      : 0;
     std::printf("serial throughput: %.2f Mcyc/s\n", mcps);
 
+    if (out_path.empty())
+        return identical ? 0 : 1;
     std::ofstream os(out_path);
-    if (os) {
-        os << "{\n"
-           << "  \"pairs\": " << pairs.size() << ",\n"
-           << "  \"sim_jobs\": " << batch.size() << ",\n"
-           << "  \"window_cycles\": " << window << ",\n"
-           << "  \"threads\": " << jobs << ",\n"
-           << "  \"serial_seconds\": " << t_serial << ",\n"
-           << "  \"parallel_seconds\": " << t_parallel << ",\n"
-           << "  \"hardware_threads\": "
-           << std::thread::hardware_concurrency() << ",\n"
-           << "  \"observed_serial_seconds\": " << t_observed << ",\n"
-           << "  \"speedup\": " << speedup << ",\n"
-           << "  \"simulated_cycles\": " << sim_cycles << ",\n"
-           << "  \"serial_mcycles_per_sec\": " << mcps << ",\n"
-           << "  \"identical\": " << (identical ? "true" : "false")
-           << "\n}\n";
-        std::printf("(wrote %s)\n", out_path.c_str());
-    } else {
-        std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
+    os << "{\n"
+       << "  \"pairs\": " << pairs.size() << ",\n"
+       << "  \"sim_jobs\": " << batch.size() << ",\n"
+       << "  \"window_cycles\": " << window << ",\n"
+       << "  \"threads\": " << jobs << ",\n"
+       << "  \"serial_seconds\": " << t_serial << ",\n"
+       << "  \"parallel_seconds\": " << t_parallel << ",\n"
+       << "  \"hardware_threads\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"observed_serial_seconds\": " << t_observed << ",\n"
+       << "  \"speedup\": " << speedup << ",\n"
+       << "  \"simulated_cycles\": " << sim_cycles << ",\n"
+       << "  \"serial_mcycles_per_sec\": " << mcps << ",\n"
+       << "  \"identical\": " << (identical ? "true" : "false")
+       << "\n}\n";
+    if (!os.flush()) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 1;
     }
+    std::printf("(wrote %s)\n", out_path.c_str());
     return identical ? 0 : 1;
 }

@@ -99,16 +99,23 @@ SpatialPolicy::mayDispatch(const Gpu &gpu, SmId sm, KernelId kid) const
     return smOwner[sm] == kid;
 }
 
+template <class Ar, class Self>
+void
+SpatialPolicy::state(Ar &ar, Self &self)
+{
+    ar.seq(self.smOwner, [&](auto &kid) { ar.i32(kid); });
+}
+
 void
 SpatialPolicy::saveState(SnapWriter &w) const
 {
-    writeI32Vec(w, smOwner);
+    state(w, *this);
 }
 
 void
 SpatialPolicy::loadState(SnapReader &r)
 {
-    smOwner = readI32Vec(r);
+    state(r, *this);
 }
 
 void
@@ -131,18 +138,24 @@ TimeSlicePolicy::mayDispatch(const Gpu &gpu, SmId sm,
     return owner == invalidKernel || kid == owner;
 }
 
+template <class Ar, class Self>
+void
+TimeSlicePolicy::state(Ar &ar, Self &self)
+{
+    ar.u64(self.slice);
+    ar.i32(self.owner);
+}
+
 void
 TimeSlicePolicy::saveState(SnapWriter &w) const
 {
-    w.u64(slice);
-    w.i32(owner);
+    state(w, *this);
 }
 
 void
 TimeSlicePolicy::loadState(SnapReader &r)
 {
-    slice = r.u64();
-    owner = r.i32();
+    state(r, *this);
 }
 
 void
@@ -161,16 +174,23 @@ FixedQuotaPolicy::onKernelSetChanged(Gpu &gpu, Cycle now)
     }
 }
 
+template <class Ar, class Self>
+void
+FixedQuotaPolicy::state(Ar &ar, Self &self)
+{
+    ar.seq(self.quotas, [&](auto &q) { ar.i32(q); });
+}
+
 void
 FixedQuotaPolicy::saveState(SnapWriter &w) const
 {
-    writeI32Vec(w, quotas);
+    state(w, *this);
 }
 
 void
 FixedQuotaPolicy::loadState(SnapReader &r)
 {
-    quotas = readI32Vec(r);
+    state(r, *this);
 }
 
 } // namespace wsl

@@ -69,6 +69,9 @@ class SpatialPolicy : public SlicingPolicy
     void loadState(SnapReader &r) override;
 
   private:
+    /** The snapshot field list; `Self` is const when saving. */
+    template <class Ar, class Self> static void state(Ar &ar, Self &self);
+
     std::vector<KernelId> smOwner;  //!< kernel owning each SM
 };
 
@@ -92,6 +95,9 @@ class FixedQuotaPolicy : public SlicingPolicy
     void loadState(SnapReader &r) override;
 
   private:
+    /** The snapshot field list; `Self` is const when saving. */
+    template <class Ar, class Self> static void state(Ar &ar, Self &self);
+
     std::vector<int> quotas;
 };
 
@@ -132,6 +138,9 @@ class TimeSlicePolicy : public SlicingPolicy
     void loadState(SnapReader &r) override;
 
   private:
+    /** The snapshot field list; `Self` is const when saving. */
+    template <class Ar, class Self> static void state(Ar &ar, Self &self);
+
     Cycle slice;
     KernelId owner = invalidKernel;
 };

@@ -9,7 +9,7 @@
 #include "common/log.hh"
 #include "core/policies.hh"
 #include "obs/decision_log.hh"
-#include "snapshot/io.hh"
+#include "snapshot/fields.hh"
 #include "trace/tracer.hh"
 
 namespace wsl {
@@ -519,320 +519,188 @@ reasonIndex(const char *reason)
     return 0;
 }
 
+/** A length-prefixed vector of i32 or f64 values. */
+template <class Ar, class V>
 void
-writeSteps(SnapWriter &w, const std::vector<WaterFillStep> &steps)
+i32s(Ar &ar, V &v)
 {
-    w.u32(static_cast<std::uint32_t>(steps.size()));
-    for (const WaterFillStep &s : steps) {
-        w.i32(s.kernel);
-        w.i32(s.ctasAfter);
-        w.f64(s.level);
-        w.b(s.accepted);
-        w.u8(reasonIndex(s.reason));
-    }
+    ar.seq(v, [&](auto &x) { ar.i32(x); });
 }
 
-std::vector<WaterFillStep>
-readSteps(SnapReader &r)
+template <class Ar, class V>
+void
+f64s(Ar &ar, V &v)
 {
-    std::vector<WaterFillStep> steps(r.u32());
-    for (WaterFillStep &s : steps) {
-        s.kernel = r.i32();
-        s.ctasAfter = r.i32();
-        s.level = r.f64();
-        s.accepted = r.b();
-        const std::uint8_t idx = r.u8();
-        if (idx >= 4)
+    ar.seq(v, [&](auto &x) { ar.f64(x); });
+}
+
+template <class Ar, ConstOr<WaterFillStep> S>
+void
+fields(Ar &ar, S &s)
+{
+    ar.i32(s.kernel);
+    ar.i32(s.ctasAfter);
+    ar.f64(s.level);
+    ar.b(s.accepted);
+    std::uint8_t reason = Ar::loading ? 0 : reasonIndex(s.reason);
+    ar.u8(reason);
+    if constexpr (Ar::loading) {
+        if (reason >= 4)
             throw SnapshotError("bad water-fill step reason index");
-        s.reason = stepReasons[idx];
+        s.reason = stepReasons[reason];
     }
-    return steps;
 }
 
+template <class Ar, ConstOr<WaterFillResult> D>
 void
-writeWaterFill(SnapWriter &w, const WaterFillResult &d)
+fields(Ar &ar, D &d)
 {
-    w.b(d.feasible);
-    writeI32Vec(w, d.ctas);
-    writeF64Vec(w, d.normPerf);
-    w.f64(d.minNormPerf);
-    w.u32(d.used.regs);
-    w.u32(d.used.shm);
-    w.u32(d.used.threads);
-    w.u32(d.used.ctas);
-    writeSteps(w, d.steps);
+    ar.b(d.feasible);
+    i32s(ar, d.ctas);
+    f64s(ar, d.normPerf);
+    ar.f64(d.minNormPerf);
+    fields(ar, d.used);
+    ar.seq(d.steps, [&](auto &s) { fields(ar, s); });
 }
 
-WaterFillResult
-readWaterFill(SnapReader &r)
-{
-    WaterFillResult d;
-    d.feasible = r.b();
-    d.ctas = readI32Vec(r);
-    d.normPerf = readF64Vec(r);
-    d.minNormPerf = r.f64();
-    d.used.regs = r.u32();
-    d.used.shm = r.u32();
-    d.used.threads = r.u32();
-    d.used.ctas = r.u32();
-    d.steps = readSteps(r);
-    return d;
-}
-
+template <class Ar, ConstOr<DecisionLogEntry> E>
 void
-writeVecVecF64(SnapWriter &w,
-               const std::vector<std::vector<double>> &vv)
+fields(Ar &ar, E &e)
 {
-    w.u32(static_cast<std::uint32_t>(vv.size()));
-    for (const std::vector<double> &v : vv)
-        writeF64Vec(w, v);
-}
-
-std::vector<std::vector<double>>
-readVecVecF64(SnapReader &r)
-{
-    std::vector<std::vector<double>> vv(r.u32());
-    for (std::vector<double> &v : vv)
-        v = readF64Vec(r);
-    return vv;
-}
-
-void
-writeLogEntry(SnapWriter &w, const DecisionLogEntry &e)
-{
-    w.u64(e.cycle);
-    w.u32(e.round);
-    w.b(e.feasible);
-    w.b(e.spatial);
-    w.f64(e.minNormPerf);
-    w.f64(e.requiredPerf);
-    w.u32(static_cast<std::uint32_t>(e.kernels.size()));
-    for (const DecisionLogEntry::KernelInput &k : e.kernels) {
-        w.i32(k.id);
-        w.str(k.name);
-        writeF64Vec(w, k.perf);
-        writeF64Vec(w, k.bwCurve);
-        writeF64Vec(w, k.aluCurve);
-    }
-    writeSteps(w, e.steps);
-    writeI32Vec(w, e.chosenCtas);
-    writeF64Vec(w, e.normPerf);
-    writeF64Vec(w, e.predictedIpc);
-    writeF64Vec(w, e.realizedIpc);
-    w.u64(e.realizedAt);
-}
-
-DecisionLogEntry
-readLogEntry(SnapReader &r)
-{
-    DecisionLogEntry e;
-    e.cycle = r.u64();
-    e.round = r.u32();
-    e.feasible = r.b();
-    e.spatial = r.b();
-    e.minNormPerf = r.f64();
-    e.requiredPerf = r.f64();
-    e.kernels.resize(r.u32());
-    for (DecisionLogEntry::KernelInput &k : e.kernels) {
-        k.id = r.i32();
-        k.name = r.str();
-        k.perf = readF64Vec(r);
-        k.bwCurve = readF64Vec(r);
-        k.aluCurve = readF64Vec(r);
-    }
-    e.steps = readSteps(r);
-    e.chosenCtas = readI32Vec(r);
-    e.normPerf = readF64Vec(r);
-    e.predictedIpc = readF64Vec(r);
-    e.realizedIpc = readF64Vec(r);
-    e.realizedAt = r.u64();
-    return e;
+    ar.u64(e.cycle);
+    ar.u32(e.round);
+    ar.b(e.feasible);
+    ar.b(e.spatial);
+    ar.f64(e.minNormPerf);
+    ar.f64(e.requiredPerf);
+    ar.seq(e.kernels, [&](auto &k) {
+        ar.i32(k.id);
+        ar.str(k.name);
+        f64s(ar, k.perf);
+        f64s(ar, k.bwCurve);
+        f64s(ar, k.aluCurve);
+    });
+    ar.seq(e.steps, [&](auto &s) { fields(ar, s); });
+    i32s(ar, e.chosenCtas);
+    f64s(ar, e.normPerf);
+    f64s(ar, e.predictedIpc);
+    f64s(ar, e.realizedIpc);
+    ar.u64(e.realizedAt);
 }
 
 } // namespace
 
+template <class Ar, class Self>
 void
-WarpedSlicerPolicy::saveState(SnapWriter &w) const
+WarpedSlicerPolicy::state(Ar &ar, Self &self)
 {
     // Options first: a CLI restore may have derived different
     // window-scaled options, and the continued run must use the
     // capture-side values for its decisions to stay bit-identical.
-    w.u64(opts.warmup);
-    w.u64(opts.profileLength);
-    w.u64(opts.algorithmDelay);
-    w.f64(opts.lossThresholdScale);
-    w.f64(opts.bwUtilization);
-    w.b(opts.bwScaling);
-    w.b(opts.bwConstraint);
-    w.f64(opts.aluUtilization);
-    w.b(opts.phaseMonitor);
-    w.u64(opts.monitorWindow);
-    w.f64(opts.phaseDelta);
-    w.u32(opts.sustainedWindows);
-    w.u32(opts.baselineSkipWindows);
-    w.u64(opts.reprofileCooldown);
+    auto &o = self.opts;
+    ar.u64(o.warmup);
+    ar.u64(o.profileLength);
+    ar.u64(o.algorithmDelay);
+    ar.f64(o.lossThresholdScale);
+    ar.f64(o.bwUtilization);
+    ar.b(o.bwScaling);
+    ar.b(o.bwConstraint);
+    ar.f64(o.aluUtilization);
+    ar.b(o.phaseMonitor);
+    ar.u64(o.monitorWindow);
+    ar.f64(o.phaseDelta);
+    ar.u32(o.sustainedWindows);
+    ar.u32(o.baselineSkipWindows);
+    ar.u64(o.reprofileCooldown);
 
-    w.u8(static_cast<std::uint8_t>(currentPhase));
-    writeI32Vec(w, live);
-    writeI32Vec(w, smOwner);
-    writeU32Vec(w, smProfileCtas);
-    w.u64(profileStart);
-    w.u64(profileEnd);
-    w.u64(applyAt);
-    w.b(snapshotTaken);
-    w.u32(subWindow);
-    w.u32(numSubWindows);
+    ar.u8(self.currentPhase);
+    if (Ar::loading && self.currentPhase > Phase::Spatial)
+        throw SnapshotError("bad WarpedSlicer phase in snapshot");
+    i32s(ar, self.live);
+    i32s(ar, self.smOwner);
+    ar.seq(self.smProfileCtas, [&](auto &n) { ar.u32(n); });
+    ar.u64(self.profileStart);
+    ar.u64(self.profileEnd);
+    ar.u64(self.applyAt);
+    ar.b(self.snapshotTaken);
+    ar.u32(self.subWindow);
+    ar.u32(self.numSubWindows);
 
-    w.u32(static_cast<std::uint32_t>(collected.size()));
-    for (const std::vector<ProfileSample> &samples : collected) {
-        w.u32(static_cast<std::uint32_t>(samples.size()));
-        for (const ProfileSample &s : samples) {
-            w.u32(s.ctas);
-            w.f64(s.ipc);
-            w.f64(s.phiMem);
-            w.f64(s.linesPerCycle);
-            w.f64(s.aluPerCycle);
-            w.f64(s.rawIpc);
-        }
-    }
+    ar.seq(self.collected, [&](auto &samples) {
+        ar.seq(samples, [&](auto &s) {
+            ar.u32(s.ctas);
+            ar.f64(s.ipc);
+            ar.f64(s.phiMem);
+            ar.f64(s.linesPerCycle);
+            ar.f64(s.aluPerCycle);
+            ar.f64(s.rawIpc);
+        });
+    });
 
-    w.u32(static_cast<std::uint32_t>(snapshots.size()));
-    for (const SmSnapshot &s : snapshots) {
-        w.u64(s.kernelInsts);
-        w.u64(s.memStalls);
-        w.u64(s.l1Misses);
-        w.u64(s.aluBusy);
-        w.u32(s.resident);
-    }
+    ar.seq(self.snapshots, [&](auto &s) {
+        ar.u64(s.kernelInsts);
+        ar.u64(s.memStalls);
+        ar.u64(s.l1Misses);
+        ar.u64(s.aluBusy);
+        ar.u32(s.resident);
+    });
 
-    writeWaterFill(w, decision);
+    fields(ar, self.decision);
 
-    w.u32(static_cast<std::uint32_t>(history.size()));
-    for (const DecisionRecord &rec : history) {
-        writeI32Vec(w, rec.live);
-        writeI32Vec(w, rec.ctas);
-        w.b(rec.spatial);
-        w.u64(rec.at);
-    }
+    ar.seq(self.history, [&](auto &rec) {
+        i32s(ar, rec.live);
+        i32s(ar, rec.ctas);
+        ar.b(rec.spatial);
+        ar.u64(rec.at);
+    });
 
-    writeVecVecF64(w, perfVectors);
-    writeVecVecF64(w, bwVectors);
-    writeVecVecF64(w, aluVectors);
-    w.b(pendingSpatial);
-    w.u32(rounds);
-    w.u64(decidedAt);
+    ar.seq(self.perfVectors, [&](auto &v) { f64s(ar, v); });
+    ar.seq(self.bwVectors, [&](auto &v) { f64s(ar, v); });
+    ar.seq(self.aluVectors, [&](auto &v) { f64s(ar, v); });
+    ar.b(self.pendingSpatial);
+    ar.u32(self.rounds);
+    ar.u64(self.decidedAt);
 
     // Decision-log replay: the capture-side log's entries ride along
     // so a restored run with a log attached carries the complete
     // decision provenance, not just the post-restore suffix.
-    w.b(dlog != nullptr);
-    if (dlog) {
-        const auto &entries = dlog->entries();
-        w.u32(static_cast<std::uint32_t>(entries.size()));
-        for (const DecisionLogEntry &e : entries)
-            writeLogEntry(w, e);
-        w.i64(pendingRealized);
+    bool had_log = self.dlog != nullptr;
+    ar.b(had_log);
+    std::int64_t pending = self.pendingRealized;
+    if (had_log) {
+        if constexpr (Ar::loading) {
+            std::vector<DecisionLogEntry> entries;
+            ar.seq(entries, [&](auto &e) { fields(ar, e); });
+            if (self.dlog)
+                for (DecisionLogEntry &e : entries)
+                    self.dlog->record(std::move(e));
+        } else {
+            ar.seq(self.dlog->entries(), [&](auto &e) { fields(ar, e); });
+        }
+        ar.i64(pending);
+    }
+    if constexpr (Ar::loading) {
+        // The pending index is only meaningful against a replayed log.
+        self.pendingRealized = had_log && self.dlog ? pending : -1;
     }
 
-    w.u64(monitorStart);
-    writeU64Vec(w, monitorInstSnapshot);
-    writeF64Vec(w, baselineIpc);
-    w.u32(deviatedWindows);
-    w.u32(windowsSinceDecision);
+    ar.u64(self.monitorStart);
+    ar.seq(self.monitorInstSnapshot, [&](auto &n) { ar.u64(n); });
+    f64s(ar, self.baselineIpc);
+    ar.u32(self.deviatedWindows);
+    ar.u32(self.windowsSinceDecision);
+}
+
+void
+WarpedSlicerPolicy::saveState(SnapWriter &w) const
+{
+    state(w, *this);
 }
 
 void
 WarpedSlicerPolicy::loadState(SnapReader &r)
 {
-    opts.warmup = r.u64();
-    opts.profileLength = r.u64();
-    opts.algorithmDelay = r.u64();
-    opts.lossThresholdScale = r.f64();
-    opts.bwUtilization = r.f64();
-    opts.bwScaling = r.b();
-    opts.bwConstraint = r.b();
-    opts.aluUtilization = r.f64();
-    opts.phaseMonitor = r.b();
-    opts.monitorWindow = r.u64();
-    opts.phaseDelta = r.f64();
-    opts.sustainedWindows = r.u32();
-    opts.baselineSkipWindows = r.u32();
-    opts.reprofileCooldown = r.u64();
-
-    const std::uint8_t phase_raw = r.u8();
-    if (phase_raw > static_cast<std::uint8_t>(Phase::Spatial))
-        throw SnapshotError("bad WarpedSlicer phase in snapshot");
-    currentPhase = static_cast<Phase>(phase_raw);
-    live = readI32Vec(r);
-    smOwner = readI32Vec(r);
-    smProfileCtas = readU32Vec(r);
-    profileStart = r.u64();
-    profileEnd = r.u64();
-    applyAt = r.u64();
-    snapshotTaken = r.b();
-    subWindow = r.u32();
-    numSubWindows = r.u32();
-
-    collected.assign(r.u32(), {});
-    for (std::vector<ProfileSample> &samples : collected) {
-        samples.resize(r.u32());
-        for (ProfileSample &s : samples) {
-            s.ctas = r.u32();
-            s.ipc = r.f64();
-            s.phiMem = r.f64();
-            s.linesPerCycle = r.f64();
-            s.aluPerCycle = r.f64();
-            s.rawIpc = r.f64();
-        }
-    }
-
-    snapshots.assign(r.u32(), {});
-    for (SmSnapshot &s : snapshots) {
-        s.kernelInsts = r.u64();
-        s.memStalls = r.u64();
-        s.l1Misses = r.u64();
-        s.aluBusy = r.u64();
-        s.resident = r.u32();
-    }
-
-    decision = readWaterFill(r);
-
-    history.assign(r.u32(), {});
-    for (DecisionRecord &rec : history) {
-        rec.live = readI32Vec(r);
-        rec.ctas = readI32Vec(r);
-        rec.spatial = r.b();
-        rec.at = r.u64();
-    }
-
-    perfVectors = readVecVecF64(r);
-    bwVectors = readVecVecF64(r);
-    aluVectors = readVecVecF64(r);
-    pendingSpatial = r.b();
-    rounds = r.u32();
-    decidedAt = r.u64();
-
-    const bool had_log = r.b();
-    if (had_log) {
-        const std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            DecisionLogEntry e = readLogEntry(r);
-            if (dlog)
-                dlog->record(std::move(e));
-        }
-        const std::ptrdiff_t pending =
-            static_cast<std::ptrdiff_t>(r.i64());
-        // The pending index is only meaningful against a replayed log.
-        pendingRealized = dlog ? pending : -1;
-    } else {
-        pendingRealized = -1;
-    }
-
-    monitorStart = r.u64();
-    monitorInstSnapshot = readU64Vec(r);
-    baselineIpc = readF64Vec(r);
-    deviatedWindows = r.u32();
-    windowsSinceDecision = r.u32();
+    state(r, *this);
 }
 
 } // namespace wsl

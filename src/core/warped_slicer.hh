@@ -124,11 +124,14 @@ class WarpedSlicerPolicy : public SlicingPolicy
 
     /** Full profiling/monitor/decision state, including the attached
      *  decision log's entries (replayed into the restore-side log when
-     *  one is attached). */
+     *  one is attached). Both forward to state(). */
     void saveState(SnapWriter &w) const override;
     void loadState(SnapReader &r) override;
 
   private:
+    /** The snapshot field list; `Self` is const when saving. */
+    template <class Ar, class Self> static void state(Ar &ar, Self &self);
+
     void startProfiling(Gpu &gpu, Cycle now);
     void applyProfileConfig(Gpu &gpu);
     void takeSnapshot(Gpu &gpu);

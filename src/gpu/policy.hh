@@ -90,7 +90,8 @@ class SlicingPolicy
      * Serialize policy-internal state into a machine snapshot /
      * restore it. A policy whose decisions depend on anything beyond
      * the GPU state it can re-derive (profiling windows, rotation
-     * owners, applied quota vectors) must override both; the defaults
+     * owners, applied quota vectors) must override both, each
+     * forwarding to one field list (see snapshot/io.hh); the defaults
      * write and read nothing (stateless policies). The restore-side
      * policy object is freshly constructed with the same options
      * before loadState() runs.

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "snapshot/fields.hh"
+
 namespace wsl {
 
 std::string
@@ -34,20 +36,8 @@ configFingerprint(const GpuConfig &c)
 std::string
 kernelFingerprint(const KernelParams &p)
 {
-    std::ostringstream os;
-    os << p.name << ',' << p.gridDim << ',' << p.blockDim << ','
-       << p.regsPerThread << ',' << p.shmPerCta << ',' << p.loopIters
-       << ',' << static_cast<int>(p.cls) << ',' << p.ifetchMissRate
-       << ',' << p.shmConflictFactor << ';' << p.mix.alu << ','
-       << p.mix.sfu << ',' << p.mix.ldGlobal << ',' << p.mix.stGlobal
-       << ',' << p.mix.ldShared << ',' << p.mix.stShared << ','
-       << p.mix.depDist << ',' << p.mix.barrierPerIter << ','
-       << p.mix.divBranches << ',' << p.mix.divPathLen << ','
-       << p.mix.divFraction << ';'
-       << static_cast<int>(p.mem.pattern) << ','
-       << p.mem.footprintPerCta << ',' << p.mem.transactionsPerAccess
-       << ',' << p.mem.reuseDwell;
-    return os.str();
+    const std::vector<std::uint8_t> bytes = kernelParamsBytes(p);
+    return {bytes.begin(), bytes.end()};
 }
 
 const SoloResult &

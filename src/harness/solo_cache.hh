@@ -38,9 +38,11 @@ namespace wsl {
 std::string configFingerprint(const GpuConfig &cfg);
 
 /**
- * Every field of a KernelParams, serialized. Included in the cache key
- * so ad-hoc kernels (sensitivity sweeps that perturb a benchmark)
- * cannot collide with the canonical benchmark of the same name.
+ * Every field of a KernelParams, as the snapshot stores it
+ * (kernelParamsBytes): doubles keep all their bits. Included in the
+ * cache key so ad-hoc kernels (sensitivity sweeps that perturb a
+ * benchmark, however slightly) cannot collide with the canonical
+ * benchmark of the same name.
  */
 std::string kernelFingerprint(const KernelParams &params);
 

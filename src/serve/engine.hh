@@ -18,7 +18,7 @@
  * teardown and the job relaunches with its remaining target.
  *
  * Fault tolerance: before any slice that a pending chaos fault could
- * hit, the engine captures a PR 8 snapshot. An injected fault rolls
+ * hit, the engine captures a machine snapshot. An injected fault rolls
  * the machine back to that snapshot — co-runners lose only the
  * uncommitted partial slice — charges the victim a retry with capped
  * exponential backoff, and a tenant that keeps faulting past the

@@ -1,20 +1,30 @@
 /**
  * @file
- * Byte-stream primitives for machine snapshots. SnapWriter appends
- * fixed-width little-endian scalars to a growing buffer; SnapReader
- * consumes them back and throws a typed SnapshotError on truncation
- * or a section-tag mismatch, so a damaged file can never half-restore
- * a machine. Framing (magic, version, payload checksum) lives in
- * io.cc; component field layouts live in snapshot.cc.
+ * Byte-stream archives for machine snapshots. Every snapshotted type
+ * has one field list, `fields(Ar &ar, T &x)` (or a component's
+ * `state`), written once against this interface: SnapWriter drives it
+ * over a const object and appends each field, SnapReader drives the
+ * same list over a mutable one and assigns each field back, so save
+ * and restore cannot disagree about order or width. Each call names
+ * the field's wire width (`ar.u32(x)` writes or reads 4 bytes whatever
+ * x's type). Steps that really differ between the two directions sit
+ * under `if constexpr (Ar::loading)`. SnapReader throws a typed
+ * SnapshotError on truncation, a section-tag mismatch, a count that
+ * does not match this machine, or a length longer than the bytes
+ * left, so a damaged file can never half-restore a machine. Framing
+ * (magic, version, payload checksum) lives in io.cc.
  */
 
 #ifndef WSL_SNAPSHOT_IO_HH
 #define WSL_SNAPSHOT_IO_HH
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/sim_error.hh"
@@ -22,45 +32,36 @@
 
 namespace wsl {
 
+/** `T` is `U` or `const U`: a field list takes const objects when
+ *  saving and mutable ones when loading. */
+template <class T, class U>
+concept ConstOr = std::same_as<std::remove_const_t<T>, U>;
+
+/** A value with a fixed wire width: an integer, bool or enum. */
+template <class T>
+concept SnapScalar = std::is_integral_v<T> || std::is_enum_v<T>;
+
 /** Append-only little-endian byte sink for snapshot payloads. */
 class SnapWriter
 {
   public:
-    void u8(std::uint8_t v) { data.push_back(v); }
+    static constexpr bool loading = false;
+
+    // Each form names the wire width; the value converts to it.
+    template <SnapScalar T> void u8(T v) { put<std::uint8_t>(v); }
+    template <SnapScalar T> void u16(T v) { put<std::uint16_t>(v); }
+    template <SnapScalar T> void u32(T v) { put<std::uint32_t>(v); }
+    template <SnapScalar T> void u64(T v) { put<std::uint64_t>(v); }
+    template <SnapScalar T> void i32(T v) { put<std::int32_t>(v); }
+    template <SnapScalar T> void i64(T v) { put<std::int64_t>(v); }
     void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        raw(&v, sizeof v);
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        raw(&v, sizeof v);
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        raw(&v, sizeof v);
-    }
-
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<std::uint64_t>(v));
-    }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
     void
     str(const std::string &s)
     {
-        u32(static_cast<std::uint32_t>(s.size()));
-        data.insert(data.end(), s.begin(), s.end());
+        u32(s.size());
+        raw(s.data(), s.size());
     }
 
     /** Four-character section marker; the reader checks it so a
@@ -72,10 +73,31 @@ class SnapWriter
         raw(name, 4);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return data; }
+    /** A count the machine's shape fixes (SMs, warp slots, cache
+     *  ways); the reader requires its own. */
+    void fixed(std::size_t n, const char *) { u32(n); }
+
+    /** A u32 length, then `each` on every element. */
+    template <class C, class F>
+    void
+    seq(const C &c, F &&each)
+    {
+        u32(c.size());
+        for (const auto &x : c)
+            each(x);
+    }
+
     std::vector<std::uint8_t> take() { return std::move(data); }
 
   private:
+    template <class W, class T>
+    void
+    put(T v)
+    {
+        const W w = static_cast<W>(v);
+        raw(&w, sizeof w);
+    }
+
     /** Grow-then-memcpy rather than a range insert: g++ 12 reports
      *  false -Wstringop-overflow/-Warray-bounds on the latter. */
     void
@@ -83,7 +105,8 @@ class SnapWriter
     {
         const std::size_t at = data.size();
         data.resize(at + n);
-        std::memcpy(data.data() + at, p, n);
+        if (n)
+            std::memcpy(data.data() + at, p, n);
     }
 
     static_assert(std::endian::native == std::endian::little,
@@ -93,66 +116,42 @@ class SnapWriter
 };
 
 /** Consuming reader over a snapshot payload; throws SnapshotError on
- *  truncation or tag mismatch. */
+ *  truncation, tag or count mismatch, or an impossible length. */
 class SnapReader
 {
   public:
-    SnapReader(const std::uint8_t *begin, std::size_t size)
-        : cur(begin), end(begin + size)
-    {
-    }
+    static constexpr bool loading = true;
 
     explicit SnapReader(const std::vector<std::uint8_t> &bytes)
-        : SnapReader(bytes.data(), bytes.size())
+        : cur(bytes.data()), end(bytes.data() + bytes.size())
     {
     }
 
-    std::uint8_t
-    u8()
-    {
-        need(1, "u8");
-        return *cur++;
-    }
+    // Each form reads the named wire width and assigns it to x.
+    template <SnapScalar T> void u8(T &x) { get<std::uint8_t>(x, "u8"); }
+    template <SnapScalar T> void u16(T &x) { get<std::uint16_t>(x, "u16"); }
+    template <SnapScalar T> void u32(T &x) { get<std::uint32_t>(x, "u32"); }
+    template <SnapScalar T> void u64(T &x) { get<std::uint64_t>(x, "u64"); }
+    template <SnapScalar T> void i32(T &x) { get<std::int32_t>(x, "i32"); }
+    template <SnapScalar T> void i64(T &x) { get<std::int64_t>(x, "i64"); }
+    void b(bool &x) { get<std::uint8_t>(x, "bool"); }
 
-    bool b() { return u8() != 0; }
-
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t v;
-        raw(&v, sizeof v, "u16");
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t v;
-        raw(&v, sizeof v, "u32");
-        return v;
-    }
-
-    std::uint64_t
-    u64()
+    void
+    f64(double &x)
     {
         std::uint64_t v;
-        raw(&v, sizeof v, "u64");
-        return v;
+        u64(v);
+        x = std::bit_cast<double>(v);
     }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double f64() { return std::bit_cast<double>(u64()); }
-
-    std::string
-    str()
+    void
+    str(std::string &s)
     {
-        const std::uint32_t n = u32();
+        std::uint32_t n;
+        u32(n);
         need(n, "string body");
-        std::string s(reinterpret_cast<const char *>(cur), n);
+        s.assign(reinterpret_cast<const char *>(cur), n);
         cur += n;
-        return s;
     }
 
     void
@@ -169,9 +168,40 @@ class SnapReader
         cur += 4;
     }
 
-    std::size_t remaining() const
+    /** The stored count must equal this machine's `want`. */
+    void
+    fixed(std::size_t want, const char *what)
     {
-        return static_cast<std::size_t>(end - cur);
+        std::uint32_t got;
+        u32(got);
+        if (got != want) {
+            throw SnapshotError(
+                std::string("snapshot structure mismatch: ") + what +
+                " count is " + std::to_string(got) +
+                ", this machine has " + std::to_string(want));
+        }
+    }
+
+    /** Replace `c` with a stored sequence, reading each element with
+     *  `each`. Containers without resize() (RingQueue) are refilled
+     *  by push(). */
+    template <class C, class F>
+    void
+    seq(C &c, F &&each)
+    {
+        const std::uint32_t n = length();
+        if constexpr (requires { c.resize(n); }) {
+            c.resize(n);
+            for (auto &x : c)
+                each(x);
+        } else {
+            c.clear();
+            for (std::uint32_t i = 0; i < n; ++i) {
+                std::remove_cvref_t<decltype(*c.begin())> x{};
+                each(x);
+                c.push(std::move(x));
+            }
+        }
     }
 
     /** Every byte must be consumed; trailing garbage means the file
@@ -187,97 +217,52 @@ class SnapReader
     }
 
   private:
+    std::size_t remaining() const
+    {
+        return static_cast<std::size_t>(end - cur);
+    }
+
+    /** A sequence length, checked before anything is allocated:
+     *  every element takes at least one byte, so a length above the
+     *  bytes left is corrupt whatever its elements are. */
+    std::uint32_t
+    length()
+    {
+        std::uint32_t n;
+        u32(n);
+        if (n > remaining()) {
+            throw SnapshotError(
+                "snapshot corrupted: sequence length " +
+                std::to_string(n) + " exceeds the " +
+                std::to_string(remaining()) + " payload bytes left");
+        }
+        return n;
+    }
+
+    template <class W, class T>
+    void
+    get(T &x, const char *what)
+    {
+        need(sizeof(W), what);
+        W v;
+        std::memcpy(&v, cur, sizeof v);
+        cur += sizeof v;
+        x = static_cast<T>(v);
+    }
+
     void
     need(std::size_t n, const char *what) const
     {
-        if (static_cast<std::size_t>(end - cur) < n) {
+        if (remaining() < n) {
             throw SnapshotError(
                 std::string("snapshot truncated while reading ") +
                 what);
         }
     }
 
-    void
-    raw(void *p, std::size_t n, const char *what)
-    {
-        need(n, what);
-        std::memcpy(p, cur, n);
-        cur += n;
-    }
-
     const std::uint8_t *cur;
     const std::uint8_t *end;
 };
-
-// ---- Small vector helpers shared by component serializers ----
-
-inline void
-writeI32Vec(SnapWriter &w, const std::vector<int> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const int x : v)
-        w.i32(x);
-}
-
-inline std::vector<int>
-readI32Vec(SnapReader &r)
-{
-    std::vector<int> v(r.u32());
-    for (int &x : v)
-        x = r.i32();
-    return v;
-}
-
-inline void
-writeU32Vec(SnapWriter &w, const std::vector<unsigned> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const unsigned x : v)
-        w.u32(x);
-}
-
-inline std::vector<unsigned>
-readU32Vec(SnapReader &r)
-{
-    std::vector<unsigned> v(r.u32());
-    for (unsigned &x : v)
-        x = r.u32();
-    return v;
-}
-
-inline void
-writeU64Vec(SnapWriter &w, const std::vector<std::uint64_t> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const std::uint64_t x : v)
-        w.u64(x);
-}
-
-inline std::vector<std::uint64_t>
-readU64Vec(SnapReader &r)
-{
-    std::vector<std::uint64_t> v(r.u32());
-    for (std::uint64_t &x : v)
-        x = r.u64();
-    return v;
-}
-
-inline void
-writeF64Vec(SnapWriter &w, const std::vector<double> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const double x : v)
-        w.f64(x);
-}
-
-inline std::vector<double>
-readF64Vec(SnapReader &r)
-{
-    std::vector<double> v(r.u32());
-    for (double &x : v)
-        x = r.f64();
-    return v;
-}
 
 // ---- File framing ----
 

@@ -8,6 +8,14 @@
  * restored machine continues bit-identically to one that never
  * stopped.
  *
+ * Layout contract: each snapshotted type lists its fields once, in a
+ * field list that SnapWriter runs to save and SnapReader runs to
+ * restore (io.hh), so the two directions cannot drift apart; the few
+ * steps that really differ (kernel relaunch, pointer re-derivation,
+ * fingerprint and policy checks) are spelled out inside that list.
+ * Any change to the bytes bumps snapshotFormatVersion, and
+ * tests/golden/results.txt pins the bytes of nine machine states.
+ *
  * Consumers: the serving layer's chaos rollback, resumable sweeps
  * (--snapshot/--restore in wslicer-sim), the fuzzer's round-trip
  * check, and bisection-by-replay (re-running a failure window under

@@ -14,12 +14,18 @@
  *     attached (1 000-cycle interval), which switches on per-kernel
  *     stall attribution,
  *   - `telem-lrr:` the same under the LRR scheduler,
- * all at a 10 000-cycle characterization window. A co-run line records
- * the makespan, the bits of sysIpc, the chosen CTAs and an FNV-1a hash
- * of every stats counter (kernel_stalls and unattributed_stalls
- * included); a telemetry line adds `csv=`, the byte-wise FNV-1a hash of
- * the sampler's CSV. The serve line hashes each job's outcome, finish
- * cycle and completed instructions.
+ * all at a 10 000-cycle characterization window, and
+ *   - `snap:` nine mid-run machine states under every policy, each
+ *     pinned by the byte count and byte-wise FNV-1a hash of its
+ *     saveSnapshot bytes, so the snapshot layout cannot drift (each
+ *     must also restore into a fresh machine that saves it back
+ *     byte for byte).
+ *
+ * A co-run line records the makespan, the bits of sysIpc, the chosen
+ * CTAs and an FNV-1a hash of every stats counter (kernel_stalls and
+ * unattributed_stalls included); a telemetry line adds `csv=`, the
+ * byte-wise FNV-1a hash of the sampler's CSV. The serve line hashes
+ * each job's outcome, finish cycle and completed instructions.
  *
  * The test writes the table it computed to golden_results.txt next to
  * its binary and compares it with tests/golden/results.txt. A change
@@ -35,13 +41,20 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/policies.hh"
+#include "core/warped_slicer.hh"
 #include "harness/runner.hh"
+#include "obs/decision_log.hh"
 #include "serve/engine.hh"
+#include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace wsl;
 
@@ -71,8 +84,9 @@ class Fnv1a
             add(v);
     }
 
+    template <typename Bytes>
     void
-    addBytes(const std::string &bytes)
+    addBytes(const Bytes &bytes)
     {
         for (const unsigned char c : bytes) {
             h ^= c;
@@ -187,6 +201,95 @@ appendBatch(std::vector<std::string> &lines, const std::string &prefix,
     }
 }
 
+using PolicyFactory = std::function<std::unique_ptr<SlicingPolicy>()>;
+
+/**
+ * Launch `apps` on a fresh machine, run it to cycle `at` and pin the
+ * snapshot taken there. The snapshot must also restore into a second
+ * fresh machine that saves it back byte for byte. With `logged`, the
+ * policy must be Dynamic and each machine gets a decision log, so the
+ * snapshot carries (and the restore replays) its entries.
+ */
+std::string
+snapLine(const std::string &label, const GpuConfig &cfg,
+         const PolicyFactory &policy, const std::vector<std::string> &apps,
+         Cycle at, bool logged = false)
+{
+    DecisionLog logs[2];
+    auto machine = [&](DecisionLog &log) {
+        std::unique_ptr<SlicingPolicy> p = policy();
+        if (logged)
+            dynamic_cast<WarpedSlicerPolicy &>(*p).attachDecisionLog(&log);
+        return std::make_unique<Gpu>(cfg, std::move(p));
+    };
+    std::unique_ptr<Gpu> gpu = machine(logs[0]);
+    for (const std::string &app : apps)
+        gpu->launchKernel(benchmark(app), 50'000'000);
+    gpu->run(at);
+    const std::vector<std::uint8_t> bytes = saveSnapshot(*gpu);
+
+    std::unique_ptr<Gpu> restored = machine(logs[1]);
+    restoreSnapshot(*restored, bytes);
+    EXPECT_TRUE(saveSnapshot(*restored) == bytes)
+        << label << ": restore did not round-trip";
+    if (logged) {
+        EXPECT_EQ(logs[0].entries().size(), 2u) << label;
+        EXPECT_EQ(logs[1].entries().size(), 2u) << label;
+    }
+
+    Fnv1a h;
+    h.addBytes(bytes);
+    std::ostringstream os;
+    os << "job=snap:" << label << "+" << joined(apps) << "@" << at
+       << " bytes=" << bytes.size() << " fnv=" << hex(h.value());
+    return os.str();
+}
+
+void
+appendSnapshots(std::vector<std::string> &lines)
+{
+    const GpuConfig base = GpuConfig::baseline();
+    GpuConfig lrr = base;
+    lrr.scheduler = SchedulerKind::Lrr;
+    GpuConfig audited = base;
+    audited.auditCadence = 500;
+    const PolicyFactory left_over = [] {
+        return std::make_unique<LeftOverPolicy>();
+    };
+    const PolicyFactory dynamic = [] {
+        return std::make_unique<WarpedSlicerPolicy>(
+            scaledSlicerOptions(20000));
+    };
+
+    lines.push_back(
+        snapLine("LeftOver", base, left_over, {"MM", "LBM"}, 7000));
+    lines.push_back(snapLine(
+        "lrr/Even", lrr, [] { return std::make_unique<EvenPolicy>(); },
+        {"BFS", "LBM"}, 9000));
+    lines.push_back(snapLine(
+        "Spatial", base, [] { return std::make_unique<SpatialPolicy>(); },
+        {"IMG", "NN"}, 6000));
+    lines.push_back(snapLine("Dynamic+log", base, dynamic, {"MM", "LBM"},
+                             30000, true));
+    lines.push_back(
+        snapLine("Dynamic", base, dynamic, {"DXT", "MVP"}, 25000));
+    lines.push_back(snapLine(
+        "FixedQuota", base,
+        [] {
+            return std::make_unique<FixedQuotaPolicy>(
+                std::vector<int>{3, 2});
+        },
+        {"HOT", "BLK"}, 8000));
+    lines.push_back(snapLine(
+        "TimeSlice", base,
+        [] { return std::make_unique<TimeSlicePolicy>(3000); },
+        {"KNN", "MM"}, 8000));
+    lines.push_back(snapLine("audited/Dynamic", audited, dynamic,
+                             {"IMG", "NN"}, 12000));
+    lines.push_back(snapLine("dc:LeftOver", GpuConfig::datacenter(),
+                             left_over, {"MM", "LBM"}, 4000));
+}
+
 CoRunJob
 job(std::vector<std::string> apps, PolicyKind kind)
 {
@@ -232,6 +335,7 @@ computeTable()
     appendBatch(lines, "lrr:", lrr, dynamic);
     appendBatch(lines, "telem:", GpuConfig::baseline(), dynamic, true);
     appendBatch(lines, "telem-lrr:", lrr, dynamic, true);
+    appendSnapshots(lines);
     return lines;
 }
 

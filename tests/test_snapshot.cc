@@ -22,6 +22,7 @@
 #include "gpu/gpu.hh"
 #include "harness/runner.hh"
 #include "obs/decision_log.hh"
+#include "snapshot/io.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
 #include "workloads/benchmarks.hh"
@@ -260,6 +261,29 @@ TEST(Snapshot, RejectsDamagedFiles)
     old_version[8] = static_cast<std::uint8_t>(snapshotFormatVersion - 1);
     WSL_EXPECT_THROW_MSG(restoreSnapshot(*fresh(), old_version),
                          SnapshotError, "format version");
+}
+
+TEST(Snapshot, RejectsALengthLongerThanThePayload)
+{
+    // A crafted length must fail before anything is allocated for it:
+    // each element takes at least one byte, and only 8 remain.
+    SnapWriter w;
+    w.u32(0xFFFFFFFFu);
+    w.u64(7);
+    const std::vector<std::uint8_t> crafted = w.take();
+    SnapReader r(crafted);
+    std::vector<std::uint64_t> v;
+    WSL_EXPECT_THROW_MSG(r.seq(v, [&](std::uint64_t &x) { r.u64(x); }),
+                         SnapshotError, "sequence length");
+    EXPECT_TRUE(v.empty());
+
+    // A machine-shaped count must equal this machine's.
+    SnapWriter counts;
+    counts.fixed(16, "SM");
+    const std::vector<std::uint8_t> sixteen = counts.take();
+    SnapReader rc(sixteen);
+    WSL_EXPECT_THROW_MSG(rc.fixed(8, "SM"), SnapshotError,
+                         "SM count is 16, this machine has 8");
 }
 
 TEST(Snapshot, RejectsMachineAndPolicyMismatches)

@@ -91,6 +91,18 @@ TEST(SoloCache, FingerprintsCoverKernelPerturbations)
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_NE(kernelFingerprint(base), kernelFingerprint(perturbed));
 
+    // A nudge past a double's sixth significant digit is still another
+    // kernel: the key keeps every bit.
+    KernelParams nudged = base;
+    nudged.ifetchMissRate *= 1 + 1e-7;
+    cache.get(nudged, cfg, kWindow);
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_NE(kernelFingerprint(base), kernelFingerprint(nudged));
+    KernelParams div_nudged = base;
+    div_nudged.mix.divFraction *= 1 + 1e-7;
+    EXPECT_NE(kernelFingerprint(base), kernelFingerprint(div_nudged));
+
     GpuConfig a = cfg, b = cfg;
     b.scheduler = SchedulerKind::Lrr;
     EXPECT_NE(configFingerprint(a), configFingerprint(b));
