@@ -77,6 +77,18 @@ struct AuditAccess
     {
         return sm.ldstNextMask;
     }
+    static std::uint64_t gmemNextMask(const SmCore &sm)
+    {
+        return sm.gmemNextMask;
+    }
+    static std::uint64_t gloadNextMask(const SmCore &sm)
+    {
+        return sm.gloadNextMask;
+    }
+    static const std::array<std::uint64_t, maxConcurrentKernels> &
+    kernelLiveMask(const SmCore &sm) { return sm.kernelLiveMask; }
+    static const std::array<unsigned, maxConcurrentKernels> &
+    kernelTrans(const SmCore &sm) { return sm.kernelTrans; }
 
     static const std::vector<std::vector<std::uint16_t>> &
     schedLists(const SmCore &sm) { return sm.schedLists; }

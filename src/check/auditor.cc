@@ -258,10 +258,12 @@ checkSmBarriers(const Gpu &gpu, std::vector<std::string> &out)
 }
 
 /**
- * The scheduler's readiness/blocked/barrier/unit bitmasks cross-checked
- * against an independent per-warp recomputation, plus scheduler-list
- * membership (each live warp on exactly its widx-mod-schedulers list,
- * mirrored by schedListMask).
+ * The scheduler's readiness/blocked/barrier/unit/global-memory
+ * bitmasks and per-kernel live masks and transaction counts
+ * cross-checked against an independent per-warp recomputation, plus
+ * scheduler-list membership (each live warp on exactly its
+ * widx-mod-schedulers list, mirrored by schedListMask) and age order
+ * (the GTO pick of the oldest candidate relies on it).
  */
 void
 checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
@@ -292,6 +294,17 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
                 }
             }
         }
+        const auto &cold = AuditAccess::warps(sm);
+        for (std::size_t sc = 0; sc < lists.size(); ++sc) {
+            for (std::size_t i = 1; i < lists[sc].size(); ++i) {
+                if (cold[lists[sc][i - 1]].age >= cold[lists[sc][i]].age) {
+                    out.push_back("SM " + std::to_string(s) +
+                                  ": scheduler " + std::to_string(sc) +
+                                  " list not in age order at warp " +
+                                  std::to_string(lists[sc][i]));
+                }
+            }
+        }
         for (std::size_t w = 0; w < warps.size(); ++w) {
             const unsigned expect =
                 (warps[w].active && !warps[w].finished) ? 1 : 0;
@@ -304,14 +317,30 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
             }
         }
 
-        // Per-warp recomputation of all seven masks.
+        // Per-warp recomputation of all nine masks and the per-kernel
+        // live masks and transaction counts.
         std::uint64_t issuable = 0, memBlocked = 0, shortBlocked = 0;
         std::uint64_t barrier = 0, aluNext = 0, sfuNext = 0, ldstNext = 0;
+        std::uint64_t gmemNext = 0, gloadNext = 0;
+        std::array<std::uint64_t, maxConcurrentKernels> kernelLive{};
+        const auto &trans = AuditAccess::kernelTrans(sm);
+        const auto &ctas = AuditAccess::ctas(sm);
         for (std::size_t w = 0; w < warps.size(); ++w) {
             const WarpHot &warp = warps[w];
             if (!warp.active || warp.finished)
                 continue;
             const std::uint64_t bit = std::uint64_t{1} << w;
+            const KernelId kid = cold[w].kernel;
+            kernelLive[kid] |= bit;
+            const unsigned want =
+                ctas[cold[w].ctaSlot].params->mem.transactionsPerAccess;
+            if (trans[kid] != want) {
+                out.push_back("SM " + std::to_string(s) + ": kernel " +
+                              std::to_string(kid) + " transactions " +
+                              std::to_string(trans[kid]) + " != warp " +
+                              std::to_string(w) + "'s CTA's " +
+                              std::to_string(want));
+            }
             if (!warp.atBarrier && warp.ibuf > 0)
                 issuable |= bit;
             if (warp.atBarrier)
@@ -328,6 +357,10 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
               case UnitKind::Ldst: ldstNext |= bit; break;
               case UnitKind::None: break;
             }
+            if (isGlobalMem(inst.op))
+                gmemNext |= bit;
+            if (inst.op == Opcode::LdGlobal)
+                gloadNext |= bit;
         }
         const struct
         {
@@ -343,6 +376,8 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
             {"aluNext", AuditAccess::aluNextMask(sm), aluNext},
             {"sfuNext", AuditAccess::sfuNextMask(sm), sfuNext},
             {"ldstNext", AuditAccess::ldstNextMask(sm), ldstNext},
+            {"gmemNext", AuditAccess::gmemNextMask(sm), gmemNext},
+            {"gloadNext", AuditAccess::gloadNextMask(sm), gloadNext},
         };
         for (const auto &m : masks) {
             if (m.cached != m.scanned) {
@@ -350,6 +385,16 @@ checkSmMasks(const Gpu &gpu, std::vector<std::string> &out)
                 os << "SM " << s << ": " << m.name << "Mask 0x"
                    << std::hex << m.cached
                    << " != per-warp recomputation 0x" << m.scanned;
+                out.push_back(os.str());
+            }
+        }
+        for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
+            const std::uint64_t cached = AuditAccess::kernelLiveMask(sm)[k];
+            if (cached != kernelLive[k]) {
+                std::ostringstream os;
+                os << "SM " << s << ": kernelLiveMask[" << k << "] 0x"
+                   << std::hex << cached << " != per-warp recomputation 0x"
+                   << kernelLive[k];
                 out.push_back(os.str());
             }
         }
@@ -424,11 +469,28 @@ checkPartitionConservation(const Gpu &gpu, std::vector<std::string> &out)
  * accepted counter, and every response a partition staged was
  * delivered exactly once or is still staged. A tick-parallel merge
  * that dropped, duplicated, or bypassed the ordered commit path
- * diverges these sums at the very next audit.
+ * diverges these sums at the very next audit. Each SM's staged-
+ * partition set must also cover every staged request's home, or the
+ * merge would skip a routable request.
  */
 void
 checkStagingConservation(const Gpu &gpu, std::vector<std::string> &out)
 {
+    for (unsigned s = 0; s < gpu.numSms(); ++s) {
+        const SmCore &sm = gpu.sm(s);
+        for (const MemRequest &req : sm.outgoingRequests()) {
+            const unsigned home =
+                partitionOf(req.line, gpu.numPartitions());
+            if (!(sm.stagedPartitions() & partitionBit(home))) {
+                std::ostringstream os;
+                os << "SM " << s << ": staged partitions 0x" << std::hex
+                   << sm.stagedPartitions() << " miss partition "
+                   << std::dec << home << " of staged line 0x"
+                   << std::hex << req.line;
+                out.push_back(os.str());
+            }
+        }
+    }
     std::uint64_t accepted = 0;
     std::uint64_t pushed = 0;
     std::uint64_t staged = 0;

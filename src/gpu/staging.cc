@@ -11,26 +11,39 @@ InterconnectStage::mergeRequests(
     const std::vector<SmCore *> &sms,
     const std::vector<MemPartition *> &partitions)
 {
-    const unsigned nparts = static_cast<unsigned>(partitions.size());
-    for (SmCore *sm : sms) {
-        auto &out = sm->outgoingRequests();
-        if (out.empty())
-            continue;
-        const std::size_t had = out.size();
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            MemPartition &part =
-                *partitions[partitionOf(out[i].line, nparts)];
-            if (part.canAcceptRequest()) {
-                part.pushRequest(out[i]);
-                ++routed;
-            } else {
-                out[kept++] = out[i];
-            }
+    // Partitions with queue room, as a set and a count. Partitions
+    // only fill during the merge, so an SM none of whose staged
+    // requests is bound for an open partition would route nothing and
+    // is skipped, and the merge ends once every partition is full.
+    // Above 64 partitions several share a bit and a bit stays set
+    // while any of them may have room.
+    const bool exact = partitions.size() <= 64;
+    std::uint64_t open = 0;
+    std::size_t openCount = 0;
+    for (unsigned p = 0; p < partitions.size(); ++p) {
+        if (partitions[p]->canAcceptRequest()) {
+            open |= partitionBit(p);
+            ++openCount;
         }
-        out.resize(kept);
-        if (kept < had)
-            sm->noteOutgoingDrained();
+    }
+    for (SmCore *sm : sms) {
+        if (openCount == 0)
+            return;
+        if ((sm->stagedPartitions() & open) == 0)
+            continue;
+        sm->routeStaged([&](const MemRequest &req, unsigned home) {
+            MemPartition &part = *partitions[home];
+            if (!part.canAcceptRequest())
+                return false;
+            part.pushRequest(req);
+            ++routed;
+            if (!part.canAcceptRequest()) {
+                --openCount;
+                if (exact)
+                    open &= ~partitionBit(home);
+            }
+            return true;
+        });
     }
 }
 

@@ -35,6 +35,8 @@ class InterconnectStage
      * Route every SM's staged requests to their home partitions in
      * SM-index order, respecting per-partition queue backpressure
      * (refused requests stay staged, in order, for the next cycle).
+     * Only SMs whose SmCore::stagedPartitions() meets a partition with
+     * room are visited, so requests for full partitions cost nothing.
      */
     void mergeRequests(const std::vector<SmCore *> &sms,
                        const std::vector<MemPartition *> &partitions);

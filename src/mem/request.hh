@@ -48,6 +48,14 @@ partitionOf(Addr line, unsigned num_partitions)
     return static_cast<unsigned>((line / lineSize) % num_partitions);
 }
 
+/** A partition's bit in a 64-bit partition set. Above 64 partitions
+ *  several share a bit, so such a set can only over-cover. */
+constexpr std::uint64_t
+partitionBit(unsigned partition)
+{
+    return std::uint64_t{1} << (partition % 64);
+}
+
 } // namespace wsl
 
 #endif // WSL_MEM_REQUEST_HH

@@ -37,6 +37,10 @@ SmCore::updateIssuable(std::uint16_t widx)
         aluNextMask &= ~bit;
         sfuNextMask &= ~bit;
         ldstNextMask &= ~bit;
+        gmemNextMask &= ~bit;
+        gloadNextMask &= ~bit;
+        for (std::uint64_t &kernel_live : kernelLiveMask)
+            kernel_live &= ~bit;
         return;
     }
     if (!w.atBarrier && w.ibuf > 0)
@@ -73,6 +77,42 @@ SmCore::updateIssuable(std::uint16_t widx)
         ldstNextMask |= bit;
     else
         ldstNextMask &= ~bit;
+    if (isGlobalMem(inst.op))
+        gmemNextMask |= bit;
+    else
+        gmemNextMask &= ~bit;
+    if (inst.op == Opcode::LdGlobal)
+        gloadNextMask |= bit;
+    else
+        gloadNextMask &= ~bit;
+}
+
+void
+SmCore::rebuildDerivedState()
+{
+    gmemNextMask = 0;
+    gloadNextMask = 0;
+    kernelLiveMask.fill(0);
+    kernelTrans.fill(0);
+    for (std::size_t widx = 0; widx < hot.size(); ++widx) {
+        const WarpHot &h = hot[widx];
+        if (!h.active || h.finished)
+            continue;
+        const std::uint64_t bit = std::uint64_t{1} << widx;
+        const WarpState &w = warps[widx];
+        kernelLiveMask[w.kernel] |= bit;
+        kernelTrans[w.kernel] =
+            ctas[w.ctaSlot].params->mem.transactionsPerAccess;
+        const Opcode op = h.program->body[h.pc].op;
+        if (isGlobalMem(op))
+            gmemNextMask |= bit;
+        if (op == Opcode::LdGlobal)
+            gloadNextMask |= bit;
+    }
+    stagedPartMask = 0;
+    for (const MemRequest &req : outRequests)
+        stagedPartMask |=
+            partitionBit(partitionOf(req.line, cfg.numMemPartitions));
 }
 
 SmCore::SmCore(const GpuConfig &c, SmId id)
@@ -163,6 +203,7 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
         cta.warpIdxs.push_back(widx);
         schedLists[widx % cfg.numSchedulers].push_back(widx);
         schedListMask[widx % cfg.numSchedulers] |= std::uint64_t{1} << widx;
+        kernelLiveMask[kid] |= std::uint64_t{1} << widx;
         fetchQueue.push({widx, w.epoch});
         ++liveWarps;
         updateIssuable(widx);
@@ -170,6 +211,7 @@ SmCore::launchCta(KernelId kid, const KernelParams &params,
     // Stash the kernel base in the CTA by encoding it per-warp at
     // address-generation time; the CTA only needs the base pointer.
     cta.kernelBase = kernel_base;
+    kernelTrans[kid] = params.mem.transactionsPerAccess;
     ++resident[kid];
     ++smStats.ctasLaunched;
     invalidateScanCache();
@@ -431,30 +473,38 @@ SmCore::advanceWarp(std::uint16_t widx, Cycle now)
     updateIssuable(widx);
 }
 
-bool
-SmCore::tryIssue(std::uint16_t widx, unsigned sched, Cycle now)
+std::uint64_t
+SmCore::backpressured(std::uint64_t cand) const
 {
-    WSL_DASSERT(((issuableMask & ~memBlockedMask & ~shortBlockedMask) >>
-                 widx) & 1,
-                "tryIssue on a warp its masks rule out");
-    WarpHot &h = hot[widx];
-    const Instruction &inst = h.program->body[h.pc];
-    if (isGlobalMem(inst.op)) {
-        // Structural backpressure from the memory system counts as a
-        // long-memory-latency stall (the warp is blocked on the memory
-        // system, not on a pipeline).
-        const CtaSlot &cta = ctas[warps[widx].ctaSlot];
-        const unsigned trans = cta.params->mem.transactionsPerAccess;
+    const std::uint64_t gmem = cand & gmemNextMask;
+    if (gmem == 0)
+        return 0;
+    std::uint64_t refused = 0;
+    for (unsigned k = 0; k < maxConcurrentKernels; ++k) {
+        const std::uint64_t mine = gmem & kernelLiveMask[k];
+        if (mine == 0)
+            continue;
+        const unsigned trans = kernelTrans[k];
         if (outRequests.size() + trans > cfg.l1MissQueue * 2)
-            return false;
-        // Conservative MSHR precheck: every transaction may allocate a
-        // new MSHR.
-        if (isLoad(inst.op) && !l1.mshrAvailable(trans))
-            return false;
+            refused |= mine;
+        else if (!l1.mshrAvailable(trans))
+            // Conservative MSHR precheck: every transaction may
+            // allocate a new MSHR.
+            refused |= mine & gloadNextMask;
     }
-    executeIssue(h, warps[widx], inst, widx, sched, now);
+    return refused;
+}
+
+void
+SmCore::issue(std::uint16_t widx, unsigned sched, Cycle now)
+{
+    const std::uint64_t bit = std::uint64_t{1} << widx;
+    WSL_DASSERT(issuableMask & ~memBlockedMask & ~shortBlockedMask &
+                    ~backpressured(bit) & bit,
+                "issue of a warp its masks rule out");
+    WarpHot &h = hot[widx];
+    executeIssue(h, warps[widx], h.program->body[h.pc], widx, sched, now);
     advanceWarp(widx, now);
-    return true;
 }
 
 void
@@ -552,7 +602,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
                     break;
                   case Cache::ReadResult::MissNew:
                     ++smStats.l1Misses;
-                    outRequests.push_back(
+                    stageRequest(
                         {line, false, smId, now + cfg.icntLatency});
                     break;
                   case Cache::ReadResult::MissMerged:
@@ -571,8 +621,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
                 ++smStats.l1Accesses;
                 if (!l1.write(line, false))
                     ++smStats.l1Misses;
-                outRequests.push_back(
-                    {line, true, smId, now + cfg.icntLatency});
+                stageRequest({line, true, smId, now + cfg.icntLatency});
             }
         }
         break;
@@ -653,10 +702,11 @@ SmCore::runScheduler(unsigned sched, Cycle now)
     memo.valid = false;
     ++engineSchedScans;
 
-    // The candidates are the warps no mask rules out: issuable, with a
-    // clean scoreboard, and bound for a free unit. Only they are
-    // visited, in GTO or LRR order; tryIssue can still refuse one on
-    // memory backpressure, which `refused` records.
+    // The candidates are this scheduler's warps no mask rules out:
+    // issuable, with a clean scoreboard, bound for a free unit, and not
+    // refused by memory backpressure. Structural backpressure from the
+    // memory system counts as a long-memory-latency stall (the warp is
+    // blocked on the memory system, not on a pipeline).
     std::uint64_t busyBlocked = 0;
     if (aluBusyUntil[sched] > now)
         busyBlocked |= aluNextMask;
@@ -664,51 +714,50 @@ SmCore::runScheduler(unsigned sched, Cycle now)
         busyBlocked |= sfuNextMask;
     if (ldstBusyUntil > now)
         busyBlocked |= ldstNextMask;
+    const std::uint64_t live = schedListMask[sched];
     const std::uint64_t clean =
         issuableMask & ~memBlockedMask & ~shortBlockedMask;
-    const std::uint64_t cand = clean & ~busyBlocked;
-    std::uint64_t refused = 0;
-    if (schedKind == SchedulerKind::Gto) {
-        // Greedy-then-oldest: stick with the last issued warp, then
-        // fall back to the oldest ready warp.
-        const int greedy = lastIssued[sched];
-        if (greedy >= 0 && ((cand >> greedy) & 1) &&
-            (greedy % static_cast<int>(cfg.numSchedulers)) ==
-                static_cast<int>(sched)) {
-            if (tryIssue(static_cast<std::uint16_t>(greedy), sched, now))
-                return;
-            refused |= std::uint64_t{1} << greedy;
-        }
-        for (std::uint16_t widx : list) {
-            if (static_cast<int>(widx) == greedy || !((cand >> widx) & 1))
-                continue;
-            if (tryIssue(widx, sched, now)) {
-                lastIssued[sched] = widx;
-                return;
+    const std::uint64_t unblocked = live & clean & ~busyBlocked;
+    const std::uint64_t refused = backpressured(unblocked);
+    const std::uint64_t cand = unblocked & ~refused;
+    if (cand != 0) {
+        if (schedKind == SchedulerKind::Gto) {
+            // Greedy-then-oldest: stick with the last issued warp, then
+            // fall back to the oldest candidate. The list is in age
+            // order, so that is the candidate a walk of it would reach
+            // first.
+            int pick = lastIssued[sched];
+            if (pick < 0 || !((cand >> pick) & 1)) {
+                std::uint64_t m = cand;
+                pick = std::countr_zero(m);
+                for (m &= m - 1; m != 0; m &= m - 1) {
+                    const int widx = std::countr_zero(m);
+                    if (warps[widx].age < warps[pick].age)
+                        pick = widx;
+                }
+                lastIssued[sched] = pick;
             }
-            refused |= std::uint64_t{1} << widx;
+            issue(static_cast<std::uint16_t>(pick), sched, now);
+            return;
         }
-    } else {
         // Loose round robin over the resident warps.
         const unsigned n = static_cast<unsigned>(list.size());
         const unsigned start = rrPos[sched] % n;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned pos = (start + i) % n;
             const std::uint16_t widx = list[pos];
-            if (!((cand >> widx) & 1))
-                continue;
-            if (tryIssue(widx, sched, now)) {
+            if ((cand >> widx) & 1) {
+                issue(widx, sched, now);
                 lastIssued[sched] = widx;
                 rrPos[sched] = pos + 1;
                 return;
             }
-            refused |= std::uint64_t{1} << widx;
         }
+        simBug("scheduler candidate missing from its list");
     }
 
     // Nothing issued, so each live warp failed for exactly one reason
     // and these masks partition the live warps.
-    const std::uint64_t live = schedListMask[sched];
     const std::uint64_t ready = live & issuableMask;
     const std::uint64_t outcomes[] = {
         (ready & memBlockedMask) | refused,
@@ -866,7 +915,7 @@ SmCore::tick(Cycle now)
                 completeLoadTransaction(
                     static_cast<std::uint16_t>(token), now);
             // Even a fill whose loads are still partial frees an MSHR,
-            // which can flip the tryIssue MSHR-availability precheck.
+            // which can lift the MSHR backpressure on global loads.
             invalidateScanCache();
             respQueue[i] = respQueue.back();
             respQueue.pop_back();

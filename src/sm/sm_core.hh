@@ -103,15 +103,56 @@ class SmCore
 
     // ---- Memory-system interface (driven by the GPU object) ----
 
-    /** Requests awaiting routing to memory partitions. */
-    std::vector<MemRequest> &outgoingRequests() { return outRequests; }
+    /** Requests awaiting routing to memory partitions, oldest first. */
+    const std::vector<MemRequest> &
+    outgoingRequests() const
+    {
+        return outRequests;
+    }
+
+    /** Bit `p % 64` of the home partition p of every staged request.
+     *  Above 64 partitions it may cover partitions no staged request
+     *  is bound for, never fewer. */
+    std::uint64_t stagedPartitions() const { return stagedPartMask; }
+
+    /** Append one request to the staging queue: the only way a
+     *  request is staged, so stagedPartitions() always covers it. */
+    void
+    stageRequest(const MemRequest &req)
+    {
+        outRequests.push_back(req);
+        stagedPartMask |=
+            partitionBit(partitionOf(req.line, cfg.numMemPartitions));
+    }
 
     /**
-     * Notification that the GPU drained entries from outgoingRequests():
-     * memory-backpressure issue outcomes may have changed, so cached
-     * scheduler scans are invalid.
+     * Offer every staged request, oldest first, to
+     * `route(req, home_partition)`; the ones it refuses (returns false
+     * for) stay staged in order. Recomputes stagedPartitions() from
+     * the kept requests, and when any request left, invalidates the
+     * memoized scheduler scans: the freed queue room can lift
+     * miss-queue backpressure.
      */
-    void noteOutgoingDrained() { invalidateScanCache(); }
+    template <class Route>
+    void
+    routeStaged(Route &&route)
+    {
+        std::size_t kept = 0;
+        std::uint64_t keptMask = 0;
+        for (std::size_t i = 0; i < outRequests.size(); ++i) {
+            const unsigned home =
+                partitionOf(outRequests[i].line, cfg.numMemPartitions);
+            if (!route(outRequests[i], home)) {
+                keptMask |= partitionBit(home);
+                outRequests[kept++] = outRequests[i];
+            }
+        }
+        stagedPartMask = keptMask;
+        if (kept < outRequests.size()) {
+            outRequests.resize(kept);
+            invalidateScanCache();
+        }
+    }
 
     /** Deliver a line fill from a memory partition. */
     void deliverResponse(const MemResponse &resp);
@@ -233,11 +274,15 @@ class SmCore
     void runScheduler(unsigned sched, Cycle now);
     void chargeStall(StallKind kind, int culprit);
     /**
-     * Issue a scan candidate unless memory backpressure (a full miss
-     * queue or no free MSHRs) refuses it; returns whether it issued.
-     * Every other hazard is ruled out by the masks that chose it.
+     * The warps of `cand` that memory backpressure refuses: a
+     * global-memory op while the miss queue cannot take its kernel's
+     * transactions, and a global load while the L1 MSHRs cannot. The
+     * scheduler counts refused warps as long-memory-latency stalls.
      */
-    bool tryIssue(std::uint16_t widx, unsigned sched, Cycle now);
+    std::uint64_t backpressured(std::uint64_t cand) const;
+    /** Issue a warp the scan picked. Its masks rule out every hazard,
+     *  backpressure included, so issue never fails. */
+    void issue(std::uint16_t widx, unsigned sched, Cycle now);
     void executeIssue(WarpHot &hw, WarpState &warp,
                       const Instruction &inst, std::uint16_t widx,
                       unsigned sched, Cycle now);
@@ -257,6 +302,13 @@ class SmCore
      * and, when nothing issues, give its stall counts.
      */
     void updateIssuable(std::uint16_t widx);
+
+    /**
+     * Recompute the masks the snapshot does not carry (gmemNextMask,
+     * gloadNextMask, kernelLiveMask, kernelTrans, stagedPartMask) from
+     * the restored warps, CTAs and staged requests.
+     */
+    void rebuildDerivedState();
 
     const GpuConfig cfg;
     const SmId smId;
@@ -297,6 +349,15 @@ class SmCore
     std::uint64_t aluNextMask = 0;
     std::uint64_t sfuNextMask = 0;
     std::uint64_t ldstNextMask = 0;
+    /** Live warp whose next instruction is a global load or store
+     *  (gmemNext), or a global load (gloadNext): the warps memory
+     *  backpressure can refuse. */
+    std::uint64_t gmemNextMask = 0;
+    std::uint64_t gloadNextMask = 0;
+    /** Live warps of each kernel, and the kernel's transactions per
+     *  global access: the requests one access stages. */
+    std::array<std::uint64_t, maxConcurrentKernels> kernelLiveMask{};
+    std::array<unsigned, maxConcurrentKernels> kernelTrans{};
 
     // Schedulers.
     std::vector<std::vector<std::uint16_t>> schedLists;  //!< age order
@@ -337,6 +398,8 @@ class SmCore
     std::vector<std::uint16_t> freeLoads;
     unsigned activeLoads = 0;  //!< valid PendingLoad entries
     std::vector<MemRequest> outRequests;
+    /** See stagedPartitions(). */
+    std::uint64_t stagedPartMask = 0;
     std::vector<MemResponse> respQueue;
     Cache::FillResult fillScratch;  //!< scratch, reused per L1 fill
 

@@ -2,8 +2,8 @@
  * @file
  * Scheduler-hot warp state, split out of WarpState into a packed
  * structure-of-arrays row. The scheduler's hot path (updateIssuable,
- * which keeps the scan's bitmasks, and tryIssue's backpressure checks)
- * reads exactly these fields; keeping
+ * which keeps the scan's bitmasks, and the issue it picks) reads
+ * exactly these fields; keeping
  * them in their own 32-byte rows means a scan touches two warps per
  * cache line instead of dragging in the cold remainder (divergence
  * stack, fetch bookkeeping, CTA linkage) that only the issue and

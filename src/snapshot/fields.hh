@@ -9,6 +9,7 @@
 #define WSL_SNAPSHOT_FIELDS_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mem/request.hh"
@@ -69,10 +70,19 @@ fields(Ar &ar, P &p)
     ar.f64(p.mix.divFraction);
     ar.u32(p.loopIters);
     ar.u8(p.mem.pattern);
+    if (Ar::loading && p.mem.pattern > MemPattern::Scatter) {
+        throw SnapshotError(
+            "snapshot corrupted: memory pattern " +
+            std::to_string(static_cast<unsigned>(p.mem.pattern)));
+    }
     ar.u64(p.mem.footprintPerCta);
     ar.u32(p.mem.transactionsPerAccess);
     ar.u32(p.mem.reuseDwell);
     ar.u8(p.cls);
+    if (Ar::loading && p.cls > AppClass::Cache) {
+        throw SnapshotError("snapshot corrupted: application class " +
+                            std::to_string(static_cast<unsigned>(p.cls)));
+    }
     ar.f64(p.ifetchMissRate);
     ar.u32(p.shmConflictFactor);
 }

@@ -10,7 +10,10 @@
  * horizon memos, dispatch saturation flags — are serialized rather
  * than reset so a restored run takes the exact same engine path (the
  * schedulers replay stall charges from their scan memos) as a run
- * that never stopped.
+ * that never stopped. State derived from serialized fields (the SM's
+ * global-access and per-kernel warp masks, its staged-partition set)
+ * is not written; restore range-checks the indices it is built from
+ * and recomputes it.
  */
 
 #include "snapshot/snapshot.hh"
@@ -68,6 +71,28 @@ kernelRef(const std::vector<std::unique_ptr<KernelInstance>> &kernels,
                             " references kernel " + std::to_string(kid));
     }
     return *kernels[kid];
+}
+
+/** Throws unless a restored index is in [0, limit); `where` names
+ *  the component holding it. */
+void
+checkIndex(std::int64_t v, std::size_t limit, const char *what,
+           const std::string &where)
+{
+    if (v < 0 || static_cast<std::uint64_t>(v) >= limit) {
+        throw SnapshotError("snapshot corrupted: " + where + " " + what +
+                            " " + std::to_string(v) +
+                            " is out of range [0, " +
+                            std::to_string(limit) + ")");
+    }
+}
+
+/** A restored kernel id that may also be invalidKernel. */
+void
+checkKernelOrNone(int kid, const char *what, const std::string &where)
+{
+    if (kid != invalidKernel)
+        checkIndex(kid, maxConcurrentKernels, what, where);
 }
 
 } // namespace
@@ -180,11 +205,110 @@ struct SnapshotAccess
 
     // ---- SM core ----
 
+    /**
+     * Every restored value the SM later uses as an index, checked
+     * against the machine's own sizes, so a checksum-valid but
+     * corrupted file fails here instead of indexing out of bounds.
+     */
+    static void
+    checkSmIndices(const SmCore &s)
+    {
+        const std::string id = "SM " + std::to_string(s.smId);
+        const std::size_t nwarps = s.warps.size();
+        for (std::size_t i = 0; i < nwarps; ++i) {
+            const WarpHot &h = s.hot[i];
+            const WarpState &w = s.warps[i];
+            if (w.ctaSlot != -1)
+                checkIndex(w.ctaSlot, s.ctas.size(), "warp CTA slot", id);
+            if (!h.active)
+                continue;
+            if (w.ctaSlot == -1 || !s.ctas[w.ctaSlot].active) {
+                throw SnapshotError("snapshot corrupted: " + id +
+                                    " live warp " + std::to_string(i) +
+                                    " is not in a live CTA");
+            }
+            if (!h.finished) {
+                if (h.program == nullptr) {
+                    throw SnapshotError("snapshot corrupted: " + id +
+                                        " live warp " +
+                                        std::to_string(i) +
+                                        " has no program");
+                }
+                checkIndex(h.pc, h.program->body.size(), "warp pc", id);
+            }
+        }
+        for (const CtaSlot &cta : s.ctas)
+            for (std::uint16_t widx : cta.warpIdxs)
+                checkIndex(widx, nwarps, "CTA warp", id);
+        for (std::uint16_t widx : s.freeWarpSlots)
+            checkIndex(widx, nwarps, "free warp slot", id);
+        for (const auto &list : s.schedLists)
+            for (std::uint16_t widx : list)
+                checkIndex(widx, nwarps, "scheduler-list warp", id);
+        for (int last : s.lastIssued)
+            if (last != -1)
+                checkIndex(last, nwarps, "greedy warp", id);
+        checkKernelOrNone(s.ldstOwner, "LDST owner kernel", id);
+        for (const auto &slot : s.wbWheel)
+            for (const auto &e : slot)
+                checkIndex(e.warp, nwarps, "writeback warp", id);
+        for (const auto &slot : s.fetchWheel)
+            for (const auto &e : slot)
+                checkIndex(e.warp, nwarps, "fetch-wheel warp", id);
+        for (const auto &slot : s.memWheel)
+            for (std::uint16_t load : slot)
+                checkIndex(load, s.loads.size(), "mem-wheel load", id);
+        for (const auto &load : s.loads) {
+            checkIndex(load.warp, nwarps, "load warp", id);
+            checkKernelOrNone(load.kernel, "load kernel", id);
+        }
+        for (std::uint16_t load : s.freeLoads)
+            checkIndex(load, s.loads.size(), "free load", id);
+        for (const auto &[line, tokens] : s.l1.mshrs)
+            for (std::uint64_t load : tokens)
+                checkIndex(static_cast<std::int64_t>(load),
+                           s.loads.size(), "L1 MSHR load", id);
+        for (const auto &e : s.fetchQueue)
+            checkIndex(e.warp, nwarps, "fetch-queue warp", id);
+        for (const auto &memo : s.scanCache)
+            checkKernelOrNone(memo.culprit, "scan-memo kernel", id);
+    }
+
+    /** The SM every restored request, response and L2 MSHR waiter
+     *  names: responses are routed to it by index. */
+    static void
+    checkMessageSms(const Gpu &gpu)
+    {
+        const std::size_t nsms = gpu.sms.size();
+        for (const auto &sm : gpu.sms) {
+            const std::string where = "SM " + std::to_string(sm->smId);
+            for (const MemRequest &req : sm->outRequests)
+                checkIndex(req.sm, nsms, "staged request SM", where);
+        }
+        for (std::size_t p = 0; p < gpu.partitions.size(); ++p) {
+            const MemPartition &part = *gpu.partitions[p];
+            const std::string where = "partition " + std::to_string(p);
+            for (const MemRequest &req : part.reqQueue)
+                checkIndex(req.sm, nsms, "request SM", where);
+            for (const MemResponse &resp : part.outResponses)
+                checkIndex(resp.sm, nsms, "response SM", where);
+            for (const auto &[line, waiters] : part.l2.mshrs)
+                for (std::uint64_t sm : waiters)
+                    checkIndex(static_cast<std::int64_t>(sm), nsms,
+                               "L2 MSHR waiter SM", where);
+        }
+    }
+
     template <class Ar, ConstOr<SmCore> S, ConstOr<Gpu> G>
     static void
     state(Ar &ar, S &s, G &gpu)
     {
         ar.u8(s.schedKind);
+        if (Ar::loading && s.schedKind > SchedulerKind::Lrr) {
+            throw SnapshotError(
+                "snapshot corrupted: scheduler kind " +
+                std::to_string(static_cast<unsigned>(s.schedKind)));
+        }
         std::uint64_t rng = s.rng.rawState();
         ar.u64(rng);
         fields(ar, s.resourcePool.used);
@@ -344,6 +468,10 @@ struct SnapshotAccess
 
         if constexpr (Ar::loading) {
             s.rng.setRawState(rng);
+            checkSmIndices(s);
+            for (KernelId kid : s.ctaCompletions)
+                kernelRef(gpu.kernels, kid, "completed CTA");
+            s.rebuildDerivedState();
             // Engine-meta counters (memo hits, scan counts) describe
             // how the simulator ran, not the simulated machine; they
             // restart at zero like they do on any fresh process.
@@ -427,6 +555,8 @@ struct SnapshotAccess
         ar.fixed(gpu.partitions.size(), "memory partition");
         for (auto &part : gpu.partitions)
             state(ar, *part);
+        if constexpr (Ar::loading)
+            checkMessageSms(gpu);
 
         ar.tag("ICNT");
         ar.u64(gpu.icnt.routed);

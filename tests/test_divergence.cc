@@ -43,7 +43,8 @@ runOne(const KernelParams &params)
     EXPECT_TRUE(sm.launchCta(0, params, prog, 0, Addr{1} << 36, 0));
     for (Cycle t = 0; t < 100000 && !sm.idle(); ++t) {
         sm.tick(t);
-        sm.outgoingRequests().clear();  // pure-ALU kernels: no memory
+        // Pure-ALU kernels: no memory to answer.
+        sm.routeStaged([](const MemRequest &, unsigned) { return true; });
     }
     EXPECT_TRUE(sm.idle());
     return {sm.stats().warpInstsIssued, sm.stats().threadInstsIssued};
@@ -152,10 +153,11 @@ TEST(Divergence, BfsSimdEfficiencyBelowOne)
     std::vector<MemResponse> pending;
     for (Cycle t = 0; t < 300000 && !sm.idle(); ++t) {
         sm.tick(t);
-        for (const MemRequest &req : sm.outgoingRequests())
+        sm.routeStaged([&](const MemRequest &req, unsigned) {
             if (!req.write)
                 pending.push_back({req.line, 0, req.readyAt + 100});
-        sm.outgoingRequests().clear();
+            return true;
+        });
         for (std::size_t i = 0; i < pending.size();) {
             if (pending[i].readyAt <= t) {
                 sm.deliverResponse(pending[i]);

@@ -80,18 +80,20 @@ TEST(InterconnectStage, MergesInSmIndexOrder)
     // Every SM stages two requests for partition 0 (staged in
     // arbitrary per-SM order by the compute phase; here by hand).
     for (unsigned i = 0; i < cfg.numSms; ++i) {
-        auto &out = sms[i]->outgoingRequests();
-        out.push_back({lineForPartition(0, 2, 2 * i),
-                       false, static_cast<SmId>(i), 10});
-        out.push_back({lineForPartition(0, 2, 2 * i + 1),
-                       false, static_cast<SmId>(i), 10});
+        sms[i]->stageRequest({lineForPartition(0, 2, 2 * i),
+                              false, static_cast<SmId>(i), 10});
+        sms[i]->stageRequest({lineForPartition(0, 2, 2 * i + 1),
+                              false, static_cast<SmId>(i), 10});
+        EXPECT_EQ(sms[i]->stagedPartitions(), partitionBit(0));
     }
 
     InterconnectStage stage;
     stage.mergeRequests(sms, parts);
     EXPECT_EQ(stage.routedRequests(), 6u);
-    for (unsigned i = 0; i < cfg.numSms; ++i)
+    for (unsigned i = 0; i < cfg.numSms; ++i) {
         EXPECT_TRUE(sms[i]->outgoingRequests().empty());
+        EXPECT_EQ(sms[i]->stagedPartitions(), 0u);
+    }
 
     // Partition 0's input queue must hold SM 0's requests first, then
     // SM 1's, then SM 2's — exactly the serial iteration order.
@@ -118,9 +120,9 @@ TEST(InterconnectStage, BackpressureKeepsRefusedRequestsInOrder)
     // (SM 0's oldest) fits; the refused two must stay staged in order.
     while (AuditAccess::reqQueueDepth(part) < 63)
         part.pushRequest({0, false, 0, 0});
-    sm0.outgoingRequests().push_back({1 * lineSize, false, 0, 5});
-    sm0.outgoingRequests().push_back({2 * lineSize, false, 0, 5});
-    sm1.outgoingRequests().push_back({3 * lineSize, false, 1, 5});
+    sm0.stageRequest({1 * lineSize, false, 0, 5});
+    sm0.stageRequest({2 * lineSize, false, 0, 5});
+    sm1.stageRequest({3 * lineSize, false, 1, 5});
 
     InterconnectStage stage;
     stage.mergeRequests(sms, parts);
@@ -135,6 +137,53 @@ TEST(InterconnectStage, BackpressureKeepsRefusedRequestsInOrder)
     part.reset();
     stage.mergeRequests(sms, parts);
     EXPECT_EQ(stage.routedRequests(), 3u);
+    EXPECT_TRUE(sm0.outgoingRequests().empty());
+    EXPECT_TRUE(sm1.outgoingRequests().empty());
+}
+
+TEST(InterconnectStage, SkipsRequestsForFullPartitionsAndKeepsOrder)
+{
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.numSms = 2;
+    cfg.numMemPartitions = 2;
+    SmCore sm0(cfg, 0), sm1(cfg, 1);
+    MemPartition full(cfg, 0), open(cfg, 1);
+    std::vector<SmCore *> sms = {&sm0, &sm1};
+    std::vector<MemPartition *> parts = {&full, &open};
+    while (full.canAcceptRequest())
+        full.pushRequest({0, false, 0, 0});
+
+    // SM 0 holds requests only for the full partition, SM 1 only for
+    // the open one.
+    const Addr a = lineForPartition(0, 2, 1);
+    const Addr b = lineForPartition(0, 2, 2);
+    sm0.stageRequest({a, false, 0, 5});
+    sm0.stageRequest({b, true, 0, 5});
+    sm1.stageRequest({lineForPartition(1, 2, 1), false, 1, 5});
+    sm1.stageRequest({lineForPartition(1, 2, 2), false, 1, 5});
+
+    InterconnectStage stage;
+    stage.mergeRequests(sms, parts);
+    EXPECT_EQ(stage.routedRequests(), 2u);
+    EXPECT_EQ(AuditAccess::reqQueueDepth(open), 2u);
+    EXPECT_TRUE(sm1.outgoingRequests().empty());
+    EXPECT_EQ(sm1.stagedPartitions(), 0u);
+    ASSERT_EQ(sm0.outgoingRequests().size(), 2u);
+    EXPECT_EQ(sm0.outgoingRequests()[0].line, a);
+    EXPECT_EQ(sm0.outgoingRequests()[1].line, b);
+    EXPECT_EQ(sm0.stagedPartitions(), partitionBit(0));
+
+    // Once the full partition drains, SM 0's older requests reach it
+    // ahead of the one SM 1 staged for it meanwhile.
+    const Addr c = lineForPartition(0, 2, 3);
+    sm1.stageRequest({c, false, 1, 6});
+    full.reset();
+    stage.mergeRequests(sms, parts);
+    EXPECT_EQ(stage.routedRequests(), 5u);
+    std::vector<Addr> got;
+    for (const MemRequest &req : AuditAccess::reqQueue(full))
+        got.push_back(req.line);
+    EXPECT_EQ(got, (std::vector<Addr>{a, b, c}));
     EXPECT_TRUE(sm0.outgoingRequests().empty());
     EXPECT_TRUE(sm1.outgoingRequests().empty());
 }

@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "check/access.hh"
 #include "check/auditor.hh"
 #include "core/policies.hh"
 #include "gpu/gpu.hh"
@@ -34,13 +35,14 @@ class TestRig
     tick(Cycle mem_latency = 100)
     {
         sm.tick(now);
-        auto &out = sm.outgoingRequests();
-        for (const MemRequest &req : out) {
-            if (!req.write)
-                pending.push_back({req.line, req.sm,
-                                   req.readyAt + mem_latency});
+        if (!holdOutgoing) {
+            sm.routeStaged([&](const MemRequest &req, unsigned) {
+                if (!req.write)
+                    pending.push_back({req.line, req.sm,
+                                       req.readyAt + mem_latency});
+                return true;
+            });
         }
-        out.clear();
         for (std::size_t i = 0; i < pending.size();) {
             if (pending[i].readyAt <= now) {
                 sm.deliverResponse(pending[i]);
@@ -64,6 +66,9 @@ class TestRig
     SmCore sm;
     Cycle now = 0;
     std::vector<MemResponse> pending;
+    /** While set, staged requests stay in the SM's outgoing queue, as
+     *  behind a full interconnect. */
+    bool holdOutgoing = false;
 };
 
 /** Small single-CTA kernel: pure ALU. */
@@ -257,6 +262,91 @@ TEST(SmCore, StoresDoNotBlockCompletion)
     auto l = launch(rig, k);
     rig.run(4000);
     EXPECT_TRUE(rig.sm.idle());
+}
+
+TEST(SmCore, MissQueueBackpressureHoldsGlobalAccessesUntilItDrains)
+{
+    // While the interconnect holds the outgoing queue, no global
+    // access issues once its transactions could overflow twice the L1
+    // miss queue; the held warps charge long-memory-latency stalls and
+    // issue again once the queue drains.
+    TestRig rig;
+    KernelParams k = loadKernel(8);
+    k.blockDim = 512;  // 16 warps: more accesses than the queue holds
+    k.mem.transactionsPerAccess = 3;
+    auto l = launch(rig, k);
+    const std::size_t limit = 2 * rig.cfg.l1MissQueue;
+    rig.holdOutgoing = true;
+    std::size_t most = 0;
+    for (int i = 0; i < 2000; ++i) {
+        rig.tick();
+        most = std::max(most, rig.sm.outgoingRequests().size());
+    }
+    EXPECT_LE(most, limit);
+    // Filled to within one access of the limit (30 of 32 here).
+    EXPECT_GT(rig.sm.outgoingRequests().size() + 3, limit);
+    // Some warp is ready to issue its global access but is held back.
+    EXPECT_NE(AuditAccess::gmemNextMask(rig.sm) &
+                  AuditAccess::issuableMask(rig.sm) &
+                  ~AuditAccess::memBlockedMask(rig.sm) &
+                  ~AuditAccess::shortBlockedMask(rig.sm),
+              0u);
+
+    const SmStats before = rig.sm.stats();
+    rig.run(1000);
+    const auto mem = static_cast<unsigned>(StallKind::MemLatency);
+    EXPECT_EQ(rig.sm.stats().l1Accesses, before.l1Accesses);
+    EXPECT_EQ(rig.sm.stats().warpInstsIssued, before.warpInstsIssued);
+    EXPECT_EQ(rig.sm.stats().stalls[mem] - before.stalls[mem],
+              2u * 1000u);
+
+    rig.holdOutgoing = false;
+    rig.run(30000);
+    EXPECT_TRUE(rig.sm.idle());
+    // 16 warps x (2 loads + 1 store) x 8 iters x 3 transactions.
+    EXPECT_EQ(rig.sm.stats().l1Accesses, 16u * 3u * 8u * 3u);
+}
+
+TEST(SmCore, FullMshrFileRefusesLoadsButNotStores)
+{
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.l1Mshrs = 4;
+    TestRig rig(cfg);
+    KernelParams ld = loadKernel(50);
+    ld.blockDim = 256;  // 8 warps: more loads than MSHRs
+    ld.mix.stGlobal = 0;
+    KernelParams st = aluKernel(200);
+    st.name = "ST";
+    st.mix.stGlobal = 2;
+    st.mem = {MemPattern::Stream, 0, 1};
+    auto a = launch(rig, ld, 0, 0);
+    auto b = launch(rig, st, 1, 1);
+
+    // Route every request but never answer a load: each miss keeps its
+    // MSHR for the whole test.
+    std::uint64_t reads = 0, writes = 0;
+    auto run = [&](int cycles) {
+        for (int i = 0; i < cycles; ++i) {
+            rig.sm.tick(rig.now++);
+            rig.sm.routeStaged([&](const MemRequest &req, unsigned) {
+                ++(req.write ? writes : reads);
+                return true;
+            });
+        }
+    };
+    run(500);
+    ASSERT_EQ(rig.sm.l1Cache().mshrsInUse(), 4u);
+    EXPECT_EQ(reads, 4u);
+    // Load-next warps with a clean scoreboard are held back.
+    EXPECT_NE(AuditAccess::gloadNextMask(rig.sm) &
+                  AuditAccess::issuableMask(rig.sm) &
+                  ~AuditAccess::memBlockedMask(rig.sm) &
+                  ~AuditAccess::shortBlockedMask(rig.sm),
+              0u);
+    const std::uint64_t writes_then = writes;
+    run(500);
+    EXPECT_EQ(reads, 4u);             // the full MSHR file refuses loads
+    EXPECT_GT(writes, writes_then);   // but not stores
 }
 
 TEST(SmCore, QuotaAccessors)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "check/access.hh"
 #include "check/sim_error.hh"
 #include "core/policies.hh"
 #include "core/warped_slicer.hh"
@@ -22,6 +24,7 @@
 #include "gpu/gpu.hh"
 #include "harness/runner.hh"
 #include "obs/decision_log.hh"
+#include "snapshot/fields.hh"
 #include "snapshot/io.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
@@ -261,6 +264,151 @@ TEST(Snapshot, RejectsDamagedFiles)
     old_version[8] = static_cast<std::uint8_t>(snapshotFormatVersion - 1);
     WSL_EXPECT_THROW_MSG(restoreSnapshot(*fresh(), old_version),
                          SnapshotError, "format version");
+}
+
+namespace {
+
+/**
+ * A checksum-valid file whose payload has `patch` written over the
+ * bytes at `at` bytes past the first occurrence of `needle`: a
+ * corruption the framing cannot catch. Fails the test when the needle
+ * is not in the payload.
+ */
+std::vector<std::uint8_t>
+patchedSnapshot(const std::vector<std::uint8_t> &file,
+                const std::vector<std::uint8_t> &needle, std::size_t at,
+                const std::vector<std::uint8_t> &patch)
+{
+    std::vector<std::uint8_t> payload = unframeSnapshot(file);
+    const auto hit = std::search(payload.begin(), payload.end(),
+                                 needle.begin(), needle.end());
+    EXPECT_NE(hit, payload.end()) << "needle not in the payload";
+    if (hit == payload.end())
+        return file;
+    std::copy(patch.begin(), patch.end(), hit + at);
+    return frameSnapshot(payload);
+}
+
+std::vector<std::uint8_t>
+bytesOf(std::int32_t v)
+{
+    SnapWriter w;
+    w.i32(v);
+    return w.take();
+}
+
+} // namespace
+
+TEST(Snapshot, RejectsOutOfRangeIndices)
+{
+    auto gpu = makeMachine(kCfg);
+    gpu->run(5000);
+    const std::vector<std::uint8_t> good = saveSnapshot(*gpu);
+    auto fresh = [] {
+        return std::make_unique<Gpu>(
+            kCfg, std::make_unique<WarpedSlicerPolicy>(
+                      scaledSlicerOptions(kWindow)));
+    };
+    const SmCore &sm = gpu->sm(0);
+
+    // A live warp's CTA slot: find SM 0's first live warp with an
+    // empty divergence stack by its whole serialized record.
+    const auto &hot = AuditAccess::hotWarps(sm);
+    const auto &cold = AuditAccess::warps(sm);
+    std::size_t w = 0;
+    while (w < hot.size() &&
+           !(hot[w].active && !hot[w].finished && cold[w].divStack.empty()))
+        ++w;
+    ASSERT_LT(w, hot.size());
+    SnapWriter rec;
+    rec.b(true);
+    rec.u32(hot[w].pendingShort);
+    rec.u32(hot[w].pendingLong);
+    rec.u32(hot[w].activeMask);
+    rec.u32(hot[w].pc);
+    rec.u16(hot[w].ibuf);
+    rec.b(true);
+    rec.b(false);
+    rec.b(hot[w].atBarrier);
+    rec.u32(cold[w].epoch);
+    const std::size_t cta_at = 26;
+    rec.i32(cold[w].ctaSlot);
+    rec.i32(cold[w].kernel);
+    rec.u32(cold[w].warpInCta);
+    rec.u32(cold[w].activeThreads);
+    rec.u32(cold[w].iter);
+    rec.b(cold[w].fetchPending);
+    rec.u64(cold[w].fetchReadyAt);
+    rec.u32(0);
+    rec.u64(cold[w].age);
+    WSL_EXPECT_THROW_MSG(
+        restoreSnapshot(*fresh(), patchedSnapshot(good, rec.take(), cta_at,
+                                                  bytesOf(100000))),
+        SnapshotError, "warp CTA slot 100000 is out of range");
+
+    // A scheduler-list entry: the list follows the seven serialized
+    // warp masks and the scheduler count.
+    const auto &lists = AuditAccess::schedLists(sm);
+    ASSERT_FALSE(lists[0].empty());
+    SnapWriter masks;
+    masks.u64(AuditAccess::issuableMask(sm));
+    masks.u64(AuditAccess::memBlockedMask(sm));
+    masks.u64(AuditAccess::shortBlockedMask(sm));
+    masks.u64(AuditAccess::barrierMask(sm));
+    masks.u64(AuditAccess::aluNextMask(sm));
+    masks.u64(AuditAccess::sfuNextMask(sm));
+    masks.u64(AuditAccess::ldstNextMask(sm));
+    masks.u32(lists.size());
+    masks.u32(lists[0].size());
+    masks.u16(lists[0][0]);
+    WSL_EXPECT_THROW_MSG(
+        restoreSnapshot(*fresh(),
+                        patchedSnapshot(good, masks.take(), 64,
+                                        {0xff, 0x7f})),
+        SnapshotError, "scheduler-list warp 32767 is out of range");
+
+    // The SM a queued partition request's response is routed to.
+    const MemRequest *queued = nullptr;
+    for (unsigned p = 0; p < gpu->numPartitions() && !queued; ++p)
+        for (const MemRequest &req : AuditAccess::reqQueue(gpu->partition(p)))
+            queued = &req;
+    ASSERT_NE(queued, nullptr);
+    SnapWriter req;
+    fields(req, *queued);
+    WSL_EXPECT_THROW_MSG(
+        restoreSnapshot(*fresh(), patchedSnapshot(good, req.take(), 9,
+                                                  bytesOf(77))),
+        SnapshotError, "request SM 77 is out of range");
+
+    // The unpatched file still restores.
+    EXPECT_NO_THROW(restoreSnapshot(*fresh(), good));
+}
+
+TEST(Snapshot, RejectsOutOfRangeEnumBytes)
+{
+    auto gpu = makeMachine(kCfg);
+    gpu->run(2000);
+    const std::vector<std::uint8_t> good = saveSnapshot(*gpu);
+
+    // The KERN section stores each kernel's parameters; the byte that
+    // differs between two patterns is the pattern byte.
+    const KernelParams &mm = gpu->kernel(0).params;
+    KernelParams other = mm;
+    other.mem.pattern = mm.mem.pattern == MemPattern::Stream
+                            ? MemPattern::Scatter
+                            : MemPattern::Stream;
+    const std::vector<std::uint8_t> a = kernelParamsBytes(mm);
+    const std::vector<std::uint8_t> b = kernelParamsBytes(other);
+    ASSERT_EQ(a.size(), b.size());
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+    ASSERT_LT(at, a.size());
+
+    Gpu fresh(kCfg, std::make_unique<WarpedSlicerPolicy>(
+                        scaledSlicerOptions(kWindow)));
+    WSL_EXPECT_THROW_MSG(
+        restoreSnapshot(fresh, patchedSnapshot(good, a, at, {200})),
+        SnapshotError, "memory pattern 200");
 }
 
 TEST(Snapshot, RejectsALengthLongerThanThePayload)
