@@ -7,7 +7,7 @@
  * fallbacks).
  *
  * Environment:
- *   WSL_WINDOW  characterization window (default 100000 cycles)
+ *   WSL_WINDOW  characterization window (default 50000 cycles)
  *   WSL_ORACLE  0 disables the exhaustive oracle search (default on)
  *   WSL_JOBS    worker threads for the experiment matrix (default 1)
  */

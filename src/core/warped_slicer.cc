@@ -10,7 +10,7 @@
 #include "core/policies.hh"
 #include "obs/decision_log.hh"
 #include "snapshot/fields.hh"
-#include "trace/tracer.hh"
+#include "telemetry/telemetry.hh"
 
 namespace wsl {
 
@@ -40,10 +40,11 @@ WarpedSlicerPolicy::startProfiling(Gpu &gpu, Cycle now)
     profileStart = std::max<Cycle>(now, opts.warmup);
     profileEnd = profileStart + opts.profileLength;
     snapshotTaken = false;
-    Tracer::global().record(now,
-                            rounds == 0 ? TraceEvent::ProfileStart
-                                        : TraceEvent::Reprofile,
-                            invalidKernel, rounds);
+    if (TelemetrySampler *telem = gpu.telemetry())
+        telem->record(now,
+                      rounds == 0 ? SimEvent::ProfileStart
+                                  : SimEvent::Reprofile,
+                      invalidKernel, rounds);
     // Enough sub-windows that every CTA count up to the SM limit gets
     // sampled even when the per-kernel SM group is small.
     const unsigned group =
@@ -257,9 +258,8 @@ WarpedSlicerPolicy::applyDecision(Gpu &gpu, Cycle now)
 {
     decidedAt = now;
     history.push_back({live, decision.ctas, pendingSpatial, now});
-    Tracer::global().record(now, TraceEvent::Decision, invalidKernel,
-                            packQuotas(decision.ctas),
-                            pendingSpatial ? 1 : 0);
+    if (TelemetrySampler *telem = gpu.telemetry())
+        telem->recordDecision(now, decision.ctas, pendingSpatial);
     if (pendingSpatial) {
         // Fall back to inter-SM spatial multitasking.
         const std::vector<unsigned> groups = spatialGroups(

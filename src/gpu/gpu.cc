@@ -4,7 +4,6 @@
 #include "common/log.hh"
 #include "obs/engine_profiler.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/tracer.hh"
 
 namespace wsl {
 
@@ -44,9 +43,8 @@ Gpu::launchKernel(const KernelParams &params, std::uint64_t inst_target)
     inst->baseAddr = (static_cast<Addr>(inst->id) + 1) << 36;
     inst->instTarget = inst_target;
     inst->launchCycle = now;
-    Tracer::global().setKernelName(inst->id, params.name);
-    Tracer::global().record(now, TraceEvent::KernelLaunch, inst->id,
-                            params.gridDim);
+    if (telem)
+        telem->recordLaunch(*inst);
     kernels.push_back(std::move(inst));
     ctaDispatchDirty = true;
     dispatchBlocked = false;
@@ -65,7 +63,8 @@ Gpu::haltKernel(KernelId kid)
     k.done = true;
     k.halted = true;
     k.finishCycle = now;
-    Tracer::global().record(now, TraceEvent::KernelFinish, k.id, 1);
+    if (telem)
+        telem->record(now, SimEvent::KernelFinish, k.id, 1);
     for (auto &sm_ptr : sms)
         sm_ptr->evictKernel(k.id);
     ctaDispatchDirty = true;
@@ -129,9 +128,10 @@ Gpu::dispatch()
                     core.launchCta(k.id, k.params, k.program, k.nextCta,
                                    k.baseAddr, now);
                 WSL_ASSERT(ok, "launch failed after canAcceptCta");
-                Tracer::global().record(
-                    now, TraceEvent::CtaLaunch, k.id, k.nextCta,
-                    static_cast<std::uint32_t>(core.id()));
+                if (telem)
+                    telem->record(now, SimEvent::CtaLaunch, k.id,
+                                  k.nextCta,
+                                  static_cast<std::uint32_t>(core.id()));
                 ++k.nextCta;
                 placed = true;
             }
@@ -174,10 +174,10 @@ Gpu::drainCtaEvents()
         }
         for (KernelId kid : events) {
             ++kernels[kid]->ctasCompleted;
-            Tracer::global().record(
-                now, TraceEvent::CtaComplete, kid,
-                kernels[kid]->ctasCompleted,
-                static_cast<std::uint32_t>(sm_ptr->id()));
+            if (telem)
+                telem->record(now, SimEvent::CtaComplete, kid,
+                              kernels[kid]->ctasCompleted,
+                              static_cast<std::uint32_t>(sm_ptr->id()));
         }
         events.clear();
     }
@@ -203,8 +203,9 @@ Gpu::checkKernelProgress()
             k.halted = target_hit && !grid_done;
             // Cycles elapsed at completion (this tick included).
             k.finishCycle = now + 1;
-            Tracer::global().record(now, TraceEvent::KernelFinish,
-                                    k.id, k.halted ? 1 : 0);
+            if (telem)
+                telem->record(now, SimEvent::KernelFinish, k.id,
+                              k.halted ? 1 : 0);
             if (k.halted) {
                 for (auto &sm_ptr : sms)
                     sm_ptr->evictKernel(k.id);

@@ -110,8 +110,10 @@ class Gpu
     /**
      * Attach (or with nullptr, detach) an interval telemetry sampler.
      * Attaching also switches on the latency/queue-depth histogram
-     * recording in every SM and memory partition. With no sampler
-     * attached the per-tick cost is a single null-pointer branch.
+     * recording in every SM and memory partition, and the machine and
+     * its policy record their lifecycle events into the sampler while
+     * it stays attached. With no sampler attached the per-tick cost is
+     * a single null-pointer branch.
      */
     void attachTelemetry(TelemetrySampler *sampler);
     TelemetrySampler *telemetry() const { return telem; }

@@ -220,13 +220,18 @@ runCoSchedule(const std::vector<KernelParams> &apps,
                     "taken under a different characterization window "
                     "(--window)?"));
         }
+        // The sampler's baseline is the restored state.
+        if (opts.telemetry)
+            gpu.attachTelemetry(opts.telemetry);
     } else {
+        // Attached before the launches, so the sampler records them
+        // and the policy's first profile start.
+        if (opts.telemetry)
+            gpu.attachTelemetry(opts.telemetry);
         for (std::size_t i = 0; i < apps.size(); ++i)
             gpu.launchKernel(apps[i], targets[i]);
     }
 
-    if (opts.telemetry)
-        gpu.attachTelemetry(opts.telemetry);
     if (opts.profiler)
         gpu.attachEngineProfiler(opts.profiler);
 

@@ -40,7 +40,7 @@ std::unique_ptr<SlicingPolicy> makePolicy(
 
 /**
  * Characterization / solo-run window in cycles. The paper uses 2 M;
- * the default here is 100 K for laptop-scale turnaround and can be
+ * the default here is 50 K for laptop-scale turnaround and can be
  * overridden with the WSL_WINDOW environment variable.
  */
 Cycle defaultWindow();

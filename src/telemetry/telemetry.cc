@@ -23,6 +23,36 @@ TelemetrySampler::bind(const Gpu &gpu)
     lastSampleCycle = gpu.cycle();
     nextAt = gpu.cycle() + sampleStride;
     bound = true;
+    for (std::size_t k = 0; k < gpu.numKernels(); ++k)
+        recordLaunch(gpu.kernel(static_cast<KernelId>(k)));
+}
+
+void
+TelemetrySampler::recordLaunch(const KernelInstance &k)
+{
+    if (names.size() <= static_cast<std::size_t>(k.id))
+        names.resize(k.id + 1);
+    names[k.id] = k.params.name;
+    record(k.launchCycle, SimEvent::KernelLaunch, k.id, k.params.gridDim);
+}
+
+void
+TelemetrySampler::recordDecision(Cycle cycle, const std::vector<int> &ctas,
+                                 bool spatial)
+{
+    record(cycle, SimEvent::Decision, invalidKernel, 0, spatial ? 1 : 0);
+    for (std::size_t i = 0; i < ctas.size() && i < maxConcurrentKernels;
+         ++i)
+        log.back().quotas[i] = static_cast<std::uint16_t>(ctas[i]);
+}
+
+const std::string &
+TelemetrySampler::kernelName(KernelId kid) const
+{
+    static const std::string none;
+    if (kid < 0 || static_cast<std::size_t>(kid) >= names.size())
+        return none;
+    return names[kid];
 }
 
 void

@@ -13,8 +13,13 @@
  * stays capped while interval sums remain exact (every per-interval
  * delta still totals the final cumulative counters).
  *
+ * The sampler also keeps the machine's lifecycle events for the
+ * timeline: kernel and CTA launches and completions, recorded by the
+ * Gpu it is attached to, and the Dynamic policy's profiling rounds and
+ * decisions, recorded through that same Gpu.
+ *
  * When no sampler is attached the simulator's only cost is one null-
- * pointer branch per GPU cycle.
+ * pointer branch per GPU cycle and per lifecycle event.
  */
 
 #ifndef WSL_TELEMETRY_TELEMETRY_HH
@@ -22,7 +27,9 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -66,6 +73,31 @@ struct TelemetryInterval
     TelemetryInterval() { quotas.fill(-1); }
 };
 
+/** Lifecycle events the sampler records. */
+enum class SimEvent : std::uint8_t
+{
+    CtaLaunch,     //!< a = CTA id, b = SM
+    CtaComplete,   //!< a = the kernel's completed-CTA count, b = SM
+    KernelLaunch,  //!< a = grid dim
+    KernelFinish,  //!< a = 1 if halted at its target, 0 if grid done
+    ProfileStart,  //!< a = profiling round
+    Decision,      //!< quotas = the split, b = 1 on the spatial fallback
+    Reprofile,     //!< a = profiling round
+};
+
+/** One recorded lifecycle event. */
+struct SimEventRecord
+{
+    Cycle cycle = 0;
+    SimEvent event = SimEvent::CtaLaunch;
+    KernelId kernel = invalidKernel;  //!< invalidKernel: policy events
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    /** Decision only: CTA quota per live kernel, in live order; zero
+     *  past the last live kernel (every live kernel gets >= 1). */
+    std::array<std::uint16_t, maxConcurrentKernels> quotas{};
+};
+
 /**
  * Interval sampler. Construct, hand to Gpu::attachTelemetry() (or
  * CoRunOptions::telemetry for harness runs), and read the series when
@@ -75,6 +107,9 @@ struct TelemetryInterval
 class TelemetrySampler
 {
   public:
+    /** Events kept; past this bound the oldest are dropped. */
+    static constexpr std::size_t maxEvents = std::size_t{1} << 20;
+
     explicit TelemetrySampler(const TelemetryConfig &config)
         : conf(config), sampleStride(config.interval)
     {
@@ -82,8 +117,33 @@ class TelemetrySampler
 
     bool enabled() const { return conf.interval > 0; }
 
-    /** Baseline snapshot; called by Gpu::attachTelemetry(). */
+    /**
+     * Baseline snapshot; called by Gpu::attachTelemetry(). Kernels
+     * already in the table are recorded as launched, so a sampler
+     * attached after a snapshot restore still names every kernel.
+     */
     void bind(const Gpu &gpu);
+
+    // ---- Lifecycle events (recorded by the attached Gpu and its
+    // policy) ----
+
+    void
+    record(Cycle cycle, SimEvent event, KernelId kernel,
+           std::uint32_t a = 0, std::uint32_t b = 0)
+    {
+        if (log.size() >= maxEvents)
+            log.pop_front();
+        log.push_back({cycle, event, kernel, a, b, {}});
+    }
+    /** A KernelLaunch event; keeps the kernel table's name for it. */
+    void recordLaunch(const KernelInstance &k);
+    /** A Decision event carrying the per-live-kernel CTA quotas. */
+    void recordDecision(Cycle cycle, const std::vector<int> &ctas,
+                        bool spatial);
+
+    const std::deque<SimEventRecord> &events() const { return log; }
+    /** Name of a launched kernel, or "" for an unknown id. */
+    const std::string &kernelName(KernelId kid) const;
 
     /** Hot-path hook, called by Gpu::tick() once per cycle. */
     void
@@ -134,6 +194,9 @@ class TelemetrySampler
     std::vector<SmStats> prevSm;
     std::vector<PartitionStats> prevPart;
     std::vector<TelemetryInterval> series;
+
+    std::deque<SimEventRecord> log;
+    std::vector<std::string> names;  //!< indexed by KernelId
 };
 
 } // namespace wsl

@@ -9,7 +9,6 @@
 
 #include "common/stats.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/tracer.hh"
 
 namespace wsl {
 
@@ -117,9 +116,9 @@ class EventWriter
 };
 
 std::string
-kernelLabel(const Tracer &tracer, KernelId kid)
+kernelLabel(const TelemetrySampler &sampler, KernelId kid)
 {
-    const std::string &name = tracer.kernelName(kid);
+    const std::string &name = sampler.kernelName(kid);
     if (!name.empty())
         return name;
     return "kernel" + std::to_string(kid);
@@ -128,8 +127,8 @@ kernelLabel(const Tracer &tracer, KernelId kid)
 } // namespace
 
 void
-writeChromeTrace(std::ostream &os, const Tracer &tracer,
-                 const TelemetrySampler *sampler, Cycle end_cycle)
+writeChromeTrace(std::ostream &os, const TelemetrySampler &sampler,
+                 Cycle end_cycle)
 {
     os << "{\n  \"displayTimeUnit\": \"ns\",\n"
        << "  \"traceEvents\": [\n";
@@ -146,16 +145,16 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
     std::map<KernelId, Cycle> launchAt;
     std::map<KernelId, std::pair<Cycle, bool>> finishAt;
     int maxSm = -1;
-    for (const TraceRecord &r : tracer.records()) {
+    for (const SimEventRecord &r : sampler.events()) {
         switch (r.event) {
-          case TraceEvent::KernelLaunch:
+          case SimEvent::KernelLaunch:
             launchAt.emplace(r.kernel, r.cycle);
             break;
-          case TraceEvent::KernelFinish:
+          case SimEvent::KernelFinish:
             finishAt[r.kernel] = {r.cycle, r.a != 0};
             break;
-          case TraceEvent::CtaLaunch:
-          case TraceEvent::CtaComplete:
+          case SimEvent::CtaLaunch:
+          case SimEvent::CtaComplete:
             maxSm = std::max(maxSm, static_cast<int>(r.b));
             break;
           default:
@@ -165,7 +164,7 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
     for (const auto &[kid, cycle] : launchAt) {
         (void)cycle;
         w.metadata("thread_name", pidKernels, 1 + kid,
-                   kernelLabel(tracer, kid));
+                   kernelLabel(sampler, kid));
     }
     for (int s = 0; s <= maxSm; ++s)
         w.metadata("thread_name", pidSms, s, "SM " + std::to_string(s));
@@ -182,43 +181,44 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
         } else {
             args = "\"end\":\"running\"";
         }
-        w.slice(kernelLabel(tracer, kid), pidKernels, 1 + kid, start,
+        w.slice(kernelLabel(sampler, kid), pidKernels, 1 + kid, start,
                 end > start ? end - start : 0, args);
     }
 
     // ---- Per-event instants ----
-    for (const TraceRecord &r : tracer.records()) {
+    for (const SimEventRecord &r : sampler.events()) {
         std::ostringstream args;
         switch (r.event) {
-          case TraceEvent::CtaLaunch:
+          case SimEvent::CtaLaunch:
             args << "\"cta\":" << r.a << ",\"kernel\":\""
-                 << jsonEscape(kernelLabel(tracer, r.kernel)) << "\"";
+                 << jsonEscape(kernelLabel(sampler, r.kernel)) << "\"";
             w.instant("cta_launch", pidSms, static_cast<int>(r.b),
                       r.cycle, args.str());
             break;
-          case TraceEvent::CtaComplete:
+          case SimEvent::CtaComplete:
             args << "\"completed\":" << r.a << ",\"kernel\":\""
-                 << jsonEscape(kernelLabel(tracer, r.kernel)) << "\"";
+                 << jsonEscape(kernelLabel(sampler, r.kernel)) << "\"";
             w.instant("cta_complete", pidSms, static_cast<int>(r.b),
                       r.cycle, args.str());
             break;
-          case TraceEvent::ProfileStart:
-          case TraceEvent::Reprofile:
+          case SimEvent::ProfileStart:
+          case SimEvent::Reprofile:
             args << "\"round\":" << r.a;
-            w.instant(traceEventName(r.event), pidKernels, tidScheduler,
-                      r.cycle, args.str());
+            w.instant(r.event == SimEvent::ProfileStart ? "profile_start"
+                                                        : "reprofile",
+                      pidKernels, tidScheduler, r.cycle, args.str());
             break;
-          case TraceEvent::Decision: {
-            // a = packed per-kernel CTA quotas, b = spatial flag (see
-            // Tracer::dump for the trailing-zero encoding).
-            unsigned last = 0;
-            for (unsigned i = 0; i < 4; ++i)
-                if ((r.a >> (8 * i)) & 0xff)
+          case SimEvent::Decision: {
+            // One quota per live kernel: the quotas end at the last
+            // nonzero entry (k0 always prints).
+            std::size_t last = 0;
+            for (std::size_t i = 0; i < r.quotas.size(); ++i)
+                if (r.quotas[i])
                     last = i;
-            for (unsigned i = 0; i <= last; ++i) {
+            for (std::size_t i = 0; i <= last; ++i) {
                 if (i)
                     args << ",";
-                args << "\"k" << i << "\":" << ((r.a >> (8 * i)) & 0xff);
+                args << "\"k" << i << "\":" << r.quotas[i];
             }
             args << ",\"spatial\":" << (r.b ? "true" : "false");
             w.instant("decision", pidKernels, tidScheduler, r.cycle,
@@ -231,47 +231,42 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
     }
 
     // ---- Counter tracks from the interval series ----
-    if (sampler) {
-        for (const TelemetryInterval &iv : sampler->intervals()) {
-            const Cycle ts = iv.end;
-            const std::uint64_t len = iv.end - iv.start;
-            if (len == 0)
+    for (const TelemetryInterval &iv : sampler.intervals()) {
+        const Cycle ts = iv.end;
+        const std::uint64_t len = iv.end - iv.start;
+        if (len == 0)
+            continue;
+        w.counter("gpu_ipc", pidKernels, ts, "ipc",
+                  static_cast<double>(iv.gpu.warpInstsIssued) /
+                      static_cast<double>(len));
+        for (std::size_t k = 0; k < sampler.numKernels(); ++k) {
+            w.counter("k" + std::to_string(k) + "_resident_ctas",
+                      pidKernels, ts, "ctas",
+                      static_cast<double>(iv.residentCtas[k]));
+        }
+        for (std::size_t s = 0; s < iv.sms.size(); ++s) {
+            const SmStats &sm = iv.sms[s];
+            if (sm.cycles == 0)
                 continue;
-            w.counter("gpu_ipc", pidKernels, ts, "ipc",
-                      static_cast<double>(iv.gpu.warpInstsIssued) /
-                          static_cast<double>(len));
-            for (std::size_t k = 0; k < sampler->numKernels(); ++k) {
-                w.counter("k" + std::to_string(k) + "_resident_ctas",
-                          pidKernels, ts, "ctas",
-                          static_cast<double>(iv.residentCtas[k]));
+            w.counter("sm" + std::to_string(s) + "_ipc", pidSms, ts, "ipc",
+                      static_cast<double>(sm.warpInstsIssued) /
+                          static_cast<double>(sm.cycles));
+        }
+        for (std::size_t p = 0; p < iv.parts.size(); ++p) {
+            const PartitionStats &pt = iv.parts[p];
+            if (pt.l2Accesses) {
+                w.counter("part" + std::to_string(p) + "_l2_miss_rate",
+                          pidParts, ts, "rate",
+                          static_cast<double>(pt.l2Misses) /
+                              static_cast<double>(pt.l2Accesses));
             }
-            for (std::size_t s = 0; s < iv.sms.size(); ++s) {
-                const SmStats &sm = iv.sms[s];
-                if (sm.cycles == 0)
-                    continue;
-                w.counter("sm" + std::to_string(s) + "_ipc", pidSms, ts,
-                          "ipc",
-                          static_cast<double>(sm.warpInstsIssued) /
-                              static_cast<double>(sm.cycles));
-            }
-            for (std::size_t p = 0; p < iv.parts.size(); ++p) {
-                const PartitionStats &pt = iv.parts[p];
-                if (pt.l2Accesses) {
-                    w.counter("part" + std::to_string(p) +
-                                  "_l2_miss_rate",
-                              pidParts, ts, "rate",
-                              static_cast<double>(pt.l2Misses) /
-                                  static_cast<double>(pt.l2Accesses));
-                }
-                const std::uint64_t rows =
-                    pt.dramRowHits + pt.dramRowMisses;
-                if (rows) {
-                    w.counter("part" + std::to_string(p) +
-                                  "_dram_row_hit_rate",
-                              pidParts, ts, "rate",
-                              static_cast<double>(pt.dramRowHits) /
-                                  static_cast<double>(rows));
-                }
+            const std::uint64_t rows = pt.dramRowHits + pt.dramRowMisses;
+            if (rows) {
+                w.counter("part" + std::to_string(p) +
+                              "_dram_row_hit_rate",
+                          pidParts, ts, "rate",
+                          static_cast<double>(pt.dramRowHits) /
+                              static_cast<double>(rows));
             }
         }
     }

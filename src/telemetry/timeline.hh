@@ -1,11 +1,11 @@
 /**
  * @file
  * Chrome trace-event JSON export (the format ui.perfetto.dev and
- * chrome://tracing load). Converts the Tracer's event ring and,
- * optionally, a TelemetrySampler's interval series into a timeline:
- * one slice track per kernel, instant-event tracks per SM, and
- * counter tracks (IPC, miss rates, resident CTAs) per SM, kernel,
- * and memory partition. Timestamps are simulation cycles.
+ * chrome://tracing load). Converts a TelemetrySampler's lifecycle
+ * events and interval series into a timeline: one slice track per
+ * kernel, instant-event tracks per SM, and counter tracks (IPC, miss
+ * rates, resident CTAs) per SM, kernel, and memory partition.
+ * Timestamps are simulation cycles.
  */
 
 #ifndef WSL_TELEMETRY_TIMELINE_HH
@@ -17,20 +17,18 @@
 
 namespace wsl {
 
-class Tracer;
 class TelemetrySampler;
 
 /**
  * Write a complete Chrome trace-event JSON document.
  *
  * @param os         destination stream
- * @param tracer     event source (kernel/CTA lifecycle, decisions)
- * @param sampler    optional interval series for counter tracks
- *                   (nullptr = slices and instants only)
+ * @param sampler    the run's sampler: its events give the slices and
+ *                   instants, its interval series the counter tracks
  * @param end_cycle  cycle used to close slices still open at the end
  */
-void writeChromeTrace(std::ostream &os, const Tracer &tracer,
-                      const TelemetrySampler *sampler, Cycle end_cycle);
+void writeChromeTrace(std::ostream &os, const TelemetrySampler &sampler,
+                      Cycle end_cycle);
 
 } // namespace wsl
 

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
@@ -185,4 +186,79 @@ TEST(Cli, FuzzRejectsMalformedNumbers)
         EXPECT_NE(out.find("usage"), std::string::npos) << flags;
         EXPECT_EQ(out.find("clean"), std::string::npos) << flags;
     }
+}
+
+namespace {
+
+/**
+ * Each `flags` use on each `commands` line must exit 2 with the usage
+ * text before anything is simulated, leaving `out` unwritten.
+ */
+void
+expectUsageErrors(std::initializer_list<const char *> commands,
+                  std::initializer_list<const char *> flags)
+{
+    const std::string out = "/tmp/wsl_cli_unwritten.out";
+    for (const char *command : commands) {
+        for (const char *flag : flags) {
+            std::remove(out.c_str());
+            const std::string args =
+                std::string(command) + " " + flag;
+            const auto [status, text] = run(args);
+            ASSERT_TRUE(WIFEXITED(status)) << args;
+            EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+            EXPECT_NE(text.find("usage"), std::string::npos) << args;
+            EXPECT_FALSE(std::ifstream(out).good()) << args;
+        }
+    }
+}
+
+} // namespace
+
+TEST(Cli, CorunOnlyFlagsAreRejectedElsewhere)
+{
+    REQUIRE_CLI();
+    expectUsageErrors(
+        {"solo MM --cycles 2000", "serve --window 2000",
+         "combos IMG NN --window 2000"},
+        {"--timeline /tmp/wsl_cli_unwritten.out", "--stats-interval 1000",
+         "--profile /tmp/wsl_cli_unwritten.out",
+         "--snapshot /tmp/wsl_cli_unwritten.out", "--snapshot-at 1000",
+         "--checkpoint-every 1000", "--restore /tmp/wsl_cli_unwritten.out"});
+}
+
+TEST(Cli, ServeOnlyFlagsAreRejectedElsewhere)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"solo MM --cycles 2000", "corun MM BFS --window 2000",
+                       "curves MM --cycles 2000"},
+                      {"--slo /tmp/wsl_cli_unwritten.out"});
+}
+
+TEST(Cli, CorunOrServeFlagsAreRejectedElsewhere)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"list", "solo MM --cycles 2000",
+                       "curves MM --cycles 2000",
+                       "combos IMG NN --window 2000"},
+                      {"--decision-log /tmp/wsl_cli_unwritten.out",
+                       "--manifest /tmp/wsl_cli_unwritten.out",
+                       "--prom /tmp/wsl_cli_unwritten.out"});
+}
+
+TEST(Cli, TimelineNeedsStatsInterval)
+{
+    REQUIRE_CLI();
+    // The timeline's events live in the telemetry sampler.
+    expectUsageErrors({"corun MM BFS --window 2000"},
+                      {"--timeline /tmp/wsl_cli_unwritten.out",
+                       "--stats-interval 0 --timeline "
+                       "/tmp/wsl_cli_unwritten.out"});
+}
+
+TEST(Cli, TraceFlagIsUnknown)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"corun MM BFS --window 2000", "solo MM --cycles 2000"},
+                      {"--trace /tmp/wsl_cli_unwritten.out"});
 }

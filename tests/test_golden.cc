@@ -19,7 +19,12 @@
  *     pinned by the byte count and byte-wise FNV-1a hash of its
  *     saveSnapshot bytes, so the snapshot layout cannot drift (each
  *     must also restore into a fresh machine that saves it back
- *     byte for byte).
+ *     byte for byte),
+ *   - `timeline:` the Chrome timeline of four co-runs with a
+ *     1 000-cycle sampler attached (MM+BFS under Dynamic and
+ *     LeftOver and the first triple under Dynamic at the 10 000-cycle
+ *     window; IMG+NN under Dynamic at 20 000, which repartitions
+ *     twice), pinned by byte count and FNV-1a.
  *
  * A co-run line records the makespan, the bits of sysIpc, the chosen
  * CTAs and an FNV-1a hash of every stats counter (kernel_stalls and
@@ -54,6 +59,7 @@
 #include "serve/engine.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
+#include "telemetry/timeline.hh"
 #include "workloads/benchmarks.hh"
 
 using namespace wsl;
@@ -290,6 +296,53 @@ appendSnapshots(std::vector<std::string> &lines)
                              left_over, {"MM", "LBM"}, 4000));
 }
 
+/**
+ * Co-run `apps` under `kind` as `wslicer-sim corun --window W
+ * --stats-interval 1000` sets it up, and pin the byte count and FNV-1a
+ * of the Chrome timeline written from its sampler.
+ */
+std::string
+timelineLine(const std::vector<std::string> &apps, PolicyKind kind,
+             Cycle window)
+{
+    const GpuConfig cfg = GpuConfig::baseline();
+    Characterization chars(cfg, window);
+    std::vector<KernelParams> params;
+    std::vector<std::uint64_t> targets;
+    for (const std::string &app : apps) {
+        params.push_back(benchmark(app));
+        targets.push_back(chars.target(app));
+    }
+    CoRunOptions opts;
+    opts.slicer = scaledSlicerOptions(window);
+    TelemetrySampler sampler(TelemetryConfig{1000, 4096});
+    opts.telemetry = &sampler;
+    const CoRunResult r = runCoSchedule(params, targets, kind, cfg, opts);
+    std::ostringstream os;
+    writeChromeTrace(os, sampler, r.makespan);
+
+    Fnv1a h;
+    h.addBytes(os.str());
+    std::ostringstream line;
+    line << "job=timeline:" << joined(apps) << "/" << policyName(kind)
+         << "@" << window << " bytes=" << os.str().size()
+         << " fnv=" << hex(h.value());
+    return line.str();
+}
+
+void
+appendTimelines(std::vector<std::string> &lines)
+{
+    lines.push_back(
+        timelineLine({"MM", "BFS"}, PolicyKind::Dynamic, kWindow));
+    lines.push_back(timelineLine(evaluationTriples().front(),
+                                 PolicyKind::Dynamic, kWindow));
+    lines.push_back(
+        timelineLine({"MM", "BFS"}, PolicyKind::LeftOver, kWindow));
+    lines.push_back(
+        timelineLine({"IMG", "NN"}, PolicyKind::Dynamic, 20000));
+}
+
 CoRunJob
 job(std::vector<std::string> apps, PolicyKind kind)
 {
@@ -336,6 +389,7 @@ computeTable()
     appendBatch(lines, "telem:", GpuConfig::baseline(), dynamic, true);
     appendBatch(lines, "telem-lrr:", lrr, dynamic, true);
     appendSnapshots(lines);
+    appendTimelines(lines);
     return lines;
 }
 

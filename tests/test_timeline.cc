@@ -17,7 +17,6 @@
 #include "gpu/gpu.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/timeline.hh"
-#include "trace/tracer.hh"
 #include "workloads/benchmarks.hh"
 
 using namespace wsl;
@@ -161,16 +160,6 @@ class JsonChecker
     std::size_t pos = 0;
 };
 
-/** RAII guard: enables the global tracer for one test. */
-struct TraceGuard
-{
-    explicit TraceGuard(std::size_t capacity = 1 << 20)
-    {
-        Tracer::global().enable(capacity);
-    }
-    ~TraceGuard() { Tracer::global().disable(); }
-};
-
 unsigned
 countOccurrences(const std::string &text, const std::string &needle)
 {
@@ -185,26 +174,25 @@ countOccurrences(const std::string &text, const std::string &needle)
 
 TEST(Timeline, EmptyTraceStillWellFormed)
 {
-    TraceGuard guard;
+    const TelemetrySampler sampler(TelemetryConfig{1000, 4096});
     std::ostringstream os;
-    writeChromeTrace(os, Tracer::global(), nullptr, 1000);
+    writeChromeTrace(os, sampler, 1000);
     EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
     EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(Timeline, CoRunProducesAllTrackKinds)
 {
-    TraceGuard guard;
     Gpu gpu(GpuConfig::baseline(), std::make_unique<LeftOverPolicy>());
-    gpu.launchKernel(benchmark("MM"));
-    gpu.launchKernel(benchmark("BFS"));
     TelemetrySampler sampler(TelemetryConfig{5000, 4096});
     gpu.attachTelemetry(&sampler);
+    gpu.launchKernel(benchmark("MM"));
+    gpu.launchKernel(benchmark("BFS"));
     gpu.run(20000);
     sampler.finish(gpu);
 
     std::ostringstream os;
-    writeChromeTrace(os, Tracer::global(), &sampler, gpu.cycle());
+    writeChromeTrace(os, sampler, gpu.cycle());
     const std::string out = os.str();
 
     ASSERT_TRUE(JsonChecker(out).valid());
@@ -231,18 +219,19 @@ TEST(Timeline, CoRunProducesAllTrackKinds)
 
 TEST(Timeline, DecisionInstantDecodesQuotas)
 {
-    TraceGuard guard;
     WarpedSlicerOptions opts;
     opts.warmup = 1000;
     opts.profileLength = 1500;
     Gpu gpu(GpuConfig::baseline(),
             std::make_unique<WarpedSlicerPolicy>(opts));
+    TelemetrySampler sampler(TelemetryConfig{10000, 4096});
+    gpu.attachTelemetry(&sampler);
     gpu.launchKernel(benchmark("IMG"), 1'000'000'000);
     gpu.launchKernel(benchmark("NN"), 1'000'000'000);
     gpu.run(60000);
 
     std::ostringstream os;
-    writeChromeTrace(os, Tracer::global(), nullptr, gpu.cycle());
+    writeChromeTrace(os, sampler, gpu.cycle());
     const std::string out = os.str();
     ASSERT_TRUE(JsonChecker(out).valid());
     EXPECT_NE(out.find("\"decision\""), std::string::npos);
@@ -253,12 +242,16 @@ TEST(Timeline, DecisionInstantDecodesQuotas)
 
 TEST(Timeline, OpenSlicesCloseAtEndCycle)
 {
-    TraceGuard guard;
-    Tracer::global().setKernelName(0, "RUNNER");
-    Tracer::global().record(100, TraceEvent::KernelLaunch, 0, 64);
+    TelemetrySampler sampler(TelemetryConfig{1000, 4096});
+    KernelInstance k;
+    k.id = 0;
+    k.params.name = "RUNNER";
+    k.params.gridDim = 64;
+    k.launchCycle = 100;
+    sampler.recordLaunch(k);
     // No KernelFinish: the slice must still close at end_cycle.
     std::ostringstream os;
-    writeChromeTrace(os, Tracer::global(), nullptr, 5000);
+    writeChromeTrace(os, sampler, 5000);
     const std::string out = os.str();
     ASSERT_TRUE(JsonChecker(out).valid());
     EXPECT_NE(out.find("\"RUNNER\""), std::string::npos);

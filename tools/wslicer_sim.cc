@@ -19,8 +19,9 @@
  *       paper's instruction-target methodology. --stats-interval
  *       samples interval telemetry every N cycles (--csv/--json then
  *       export the time series instead of the summary table);
- *       --timeline writes a Chrome trace-event JSON file for
- *       ui.perfetto.dev.
+ *       --timeline, which needs --stats-interval, writes the
+ *       sampler's events and series as a Chrome trace-event JSON file
+ *       for ui.perfetto.dev.
  *
  *   wslicer-sim combos BENCH1 BENCH2 [--window N]
  *       Exhaustively evaluate every feasible CTA partition (the
@@ -42,12 +43,14 @@
  * Global options: --csv FILE | --json FILE write the result table to a
  * file in addition to the text output. --jobs N (or WSL_JOBS) runs
  * independent simulations on N worker threads (0 = all hardware
- * threads); results are bit-identical to serial runs.
+ * threads); results are bit-identical to serial runs. An output flag
+ * the command never writes (say, --timeline on solo) is a usage error.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -66,7 +69,6 @@
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/timeline.hh"
-#include "trace/tracer.hh"
 
 using namespace wsl;
 
@@ -86,7 +88,6 @@ struct Options
     Cycle watchdogCycles = 0;  //!< 0 = no-progress watchdog off
     std::string csvPath;
     std::string jsonPath;
-    std::string tracePath;
     std::string timelinePath;
     std::string decisionLogPath;  //!< Dynamic-policy decision log JSON
     std::string profilePath;      //!< engine self-profiler JSON
@@ -121,15 +122,15 @@ usage(const char *argv0)
                  "32 partitions; not a paper machine)\n"
                  "         --policy leftover|spatial|even|dynamic|"
                  "fixed:Q1,Q2[,Q3]\n"
-                 "         --sched gto|lrr --csv FILE --json FILE --trace FILE\n"
-                 "         --stats-interval N --timeline FILE --jobs N\n"
+                 "         --sched gto|lrr --csv FILE --json FILE --jobs N\n"
                  "         --audit[=N] (run integrity audits every N "
                  "cycles; default 10000)\n"
                  "         --watchdog-cycles N (fail with a deadlock "
                  "report after N cycles without progress)\n"
-                 "observability (corun): --decision-log FILE "
-                 "--profile FILE\n"
-                 "         --manifest FILE --prom FILE\n"
+                 "observability (corun): --stats-interval N "
+                 "[--timeline FILE] --profile FILE\n"
+                 "observability (corun, serve): --decision-log FILE "
+                 "--manifest FILE --prom FILE\n"
                  "checkpointing (corun): --snapshot FILE "
                  "[--snapshot-at N | --checkpoint-every N]\n"
                  "         --restore FILE (resume a checkpointed run; "
@@ -154,6 +155,27 @@ numberArg(const std::string &text, const char *what)
     return *value;
 }
 
+/** False for an output flag that `command` never writes. */
+bool
+flagFitsCommand(const std::string &flag, const std::string &command)
+{
+    const auto among = [&](std::initializer_list<const char *> flags) {
+        for (const char *f : flags)
+            if (flag == f)
+                return true;
+        return false;
+    };
+    if (among({"--timeline", "--stats-interval", "--profile",
+               "--snapshot", "--snapshot-at", "--checkpoint-every",
+               "--restore"}))
+        return command == "corun";
+    if (flag == "--slo")
+        return command == "serve";
+    if (among({"--decision-log", "--manifest", "--prom"}))
+        return command == "corun" || command == "serve";
+    return true;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -163,6 +185,8 @@ parseArgs(int argc, char **argv)
     opt.command = argv[1];
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (!flagFitsCommand(arg, opt.command))
+            usage(argv[0]);
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 usage(argv[0]);
@@ -201,8 +225,6 @@ parseArgs(int argc, char **argv)
             if (opt.watchdogCycles == 0)
                 usage(argv[0]);
         }
-        else if (arg == "--trace")
-            opt.tracePath = next();
         else if (arg == "--decision-log")
             opt.decisionLogPath = next();
         else if (arg == "--profile")
@@ -258,6 +280,9 @@ parseArgs(int argc, char **argv)
         else
             opt.benchNames.push_back(arg);
     }
+    // The timeline's events live in the telemetry sampler.
+    if (!opt.timelinePath.empty() && opt.statsInterval == 0)
+        usage(argv[0]);
     return opt;
 }
 
@@ -465,11 +490,6 @@ cmdCorun(const Options &opt)
     if (!opt.decisionLogPath.empty())
         co.decisionLog = &decisions;
 
-    // The characterization solo runs above also record trace events;
-    // drop them so the timeline covers only the co-run itself.
-    if (Tracer::global().enabled())
-        Tracer::global().clear();
-
     CoRunResult r = runCoSchedule(apps, targets, kind, cfg, co);
     if (restored.valid())
         decisions.setSnapshotProvenance(restored);
@@ -549,9 +569,7 @@ cmdCorun(const Options &opt)
         std::ofstream os(opt.timelinePath);
         if (!os)
             fatal("cannot open ", opt.timelinePath);
-        writeChromeTrace(os, Tracer::global(),
-                         sampler.enabled() ? &sampler : nullptr,
-                         r.makespan);
+        writeChromeTrace(os, sampler, r.makespan);
         std::printf("(wrote %s)\n", opt.timelinePath.c_str());
     }
 
@@ -789,8 +807,6 @@ int
 main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
-    if (!opt.tracePath.empty() || !opt.timelinePath.empty())
-        Tracer::global().enable(1 << 20);
     int rc = 2;
     try {
         if (opt.command == "list")
@@ -816,15 +832,6 @@ main(int argc, char **argv)
         if (const auto *dl = dynamic_cast<const DeadlockError *>(&e))
             std::fputs(dl->report().c_str(), stderr);
         return 1;
-    }
-    if (!opt.tracePath.empty()) {
-        std::ofstream os(opt.tracePath);
-        if (!os)
-            fatal("cannot open ", opt.tracePath);
-        Tracer::global().dump(os);
-        std::printf("(wrote %s, %llu events)\n", opt.tracePath.c_str(),
-                    static_cast<unsigned long long>(
-                        Tracer::global().totalRecorded()));
     }
     return rc;
 }
