@@ -125,19 +125,11 @@ struct AuditAccess
         return sm.activeLoads;
     }
 
-    /** Live entry counts of the three timing wheels. */
-    static unsigned wbWheelCount(const SmCore &sm)
-    {
-        return sm.wbWheelCount;
-    }
-    static unsigned memWheelCount(const SmCore &sm)
-    {
-        return sm.memWheelCount;
-    }
-    static unsigned fetchWheelCount(const SmCore &sm)
-    {
-        return sm.fetchWheelCount;
-    }
+    /** The three timing wheels: writebacks (warp, epoch, regMask),
+     *  L1-hit load entries, and i-buffer refills (warp, epoch). */
+    static const auto &wbWheel(const SmCore &sm) { return sm.wbWheel; }
+    static const auto &memWheel(const SmCore &sm) { return sm.memWheel; }
+    static const auto &fetchWheel(const SmCore &sm) { return sm.fetchWheel; }
 
     /** Union of writeback regMasks pending for (warp, epoch). */
     static std::uint32_t
@@ -145,10 +137,10 @@ struct AuditAccess
                   std::uint32_t epoch)
     {
         std::uint32_t mask = 0;
-        for (const auto &slot : sm.wbWheel)
-            for (const auto &e : slot)
-                if (e.warp == widx && e.epoch == epoch)
-                    mask |= e.regMask;
+        sm.wbWheel.forEach([&](const auto &e) {
+            if (e.warp == widx && e.epoch == epoch)
+                mask |= e.regMask;
+        });
         return mask;
     }
 

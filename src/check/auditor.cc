@@ -140,14 +140,14 @@ checkSmMshrs(const Gpu &gpu, std::vector<std::string> &out)
             tokens += waiters.size();
         }
         const std::uint64_t accounted =
-            tokens + AuditAccess::memWheelCount(sm);
+            tokens + AuditAccess::memWheel(sm).size();
         if (transLeft != accounted) {
             out.push_back(
                 "SM " + std::to_string(s) +
                 ": outstanding load transactions " +
                 std::to_string(transLeft) + " != L1 MSHR waiters " +
                 std::to_string(tokens) + " + mem-wheel entries " +
-                std::to_string(AuditAccess::memWheelCount(sm)));
+                std::to_string(AuditAccess::memWheel(sm).size()));
         }
     }
 }

@@ -8,6 +8,7 @@
 #include "common/config.hh"
 
 #include <string>
+#include <utility>
 
 #include "check/sim_error.hh"
 #include "common/types.hh"
@@ -91,6 +92,26 @@ GpuConfig::validate() const
         reject("numAluPipes is 0 — ALU ops can never issue");
     if (aluInitiation == 0 || sfuInitiation == 0 || ldstInitiation == 0)
         reject("pipe initiation intervals must be >= 1 cycle");
+    // An SM retires these through timingWheelSlots-slot timing wheels
+    // (sm/sm_core.hh): a latency of 0 lands in the slot drained this
+    // cycle and one of timingWheelSlots or more wraps around.
+    const std::pair<const char *, unsigned> wheel_latencies[] = {
+        {"aluLatency", aluLatency},
+        {"sfuLatency", sfuLatency},
+        {"shmLatency", shmLatency},
+        {"l1HitLatency", l1HitLatency},
+        {"fetchLatency", fetchLatency},
+        {"ifetchMissLatency", ifetchMissLatency}};
+    for (const auto &[name, latency] : wheel_latencies) {
+        if (latency == 0 || latency >= timingWheelSlots) {
+            reject(std::string(name) + " " + std::to_string(latency) +
+                   " is outside 1.." +
+                   std::to_string(timingWheelSlots - 1) + " — the SM's " +
+                   std::to_string(timingWheelSlots) +
+                   "-slot timing wheel would retire it " +
+                   (latency == 0 ? "a full turn late" : "early"));
+        }
+    }
 
     // ---- caches / memory system ----
     checkCacheGeometry("L1", l1Size, l1Assoc);

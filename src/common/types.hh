@@ -37,6 +37,10 @@ constexpr unsigned lineSize = 128;
 /** Maximum number of kernels that can share the GPU concurrently. */
 constexpr unsigned maxConcurrentKernels = 4;
 
+/** Slots of an SM timing wheel (sm/sm_core.hh): a fixed-latency
+ *  event there must come due 1 to timingWheelSlots - 1 cycles out. */
+constexpr unsigned timingWheelSlots = 256;
+
 } // namespace wsl
 
 #endif // WSL_COMMON_TYPES_HH

@@ -1,5 +1,8 @@
 #include "gpu/gpu.hh"
 
+#include <algorithm>
+
+#include "check/sim_error.hh"
 #include "check/watchdog.hh"
 #include "common/log.hh"
 #include "obs/engine_profiler.hh"
@@ -36,6 +39,19 @@ Gpu::launchKernel(const KernelParams &params, std::uint64_t inst_target)
 {
     WSL_ASSERT(kernels.size() < maxConcurrentKernels,
                "kernel table full");
+    // A shared-memory result comes due shmLatency x conflict cycles
+    // after issue through the SM's timing wheel (SmCore::executeIssue).
+    const std::uint64_t shm_latency =
+        std::uint64_t{cfg.shmLatency} *
+        std::max(1u, params.shmConflictFactor);
+    if (shm_latency >= timingWheelSlots) {
+        throw ConfigError(detail::concat(
+            "kernel ", params.name, ": shmLatency ", cfg.shmLatency,
+            " x shmConflictFactor ", params.shmConflictFactor, " = ",
+            shm_latency, " cycles does not fit the SM's ",
+            timingWheelSlots, "-slot timing wheel (at most ",
+            timingWheelSlots - 1, ")"));
+    }
     auto inst = std::make_unique<KernelInstance>();
     inst->id = static_cast<KernelId>(kernels.size());
     inst->params = params;

@@ -38,7 +38,9 @@ class Gpu
     Gpu(const GpuConfig &cfg, std::unique_ptr<SlicingPolicy> policy);
 
     /**
-     * Add a kernel to the kernel table.
+     * Add a kernel to the kernel table. Throws ConfigError when its
+     * shared-memory result latency (shmLatency x shmConflictFactor)
+     * does not fit the SM's timing wheel.
      *
      * @param params       the kernel model
      * @param inst_target  thread instructions to execute before the

@@ -539,9 +539,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
         smStats.aluBusyCycles += cfg.aluInitiation;
         if (dst_bit) {
             h.pendingShort |= dst_bit;
-            wbWheel[(now + cfg.aluLatency) % wheelSize].push_back(
-                {widx, w.epoch, dst_bit});
-            ++wbWheelCount;
+            wbWheel.push(now + cfg.aluLatency, {widx, w.epoch, dst_bit});
         }
         break;
       }
@@ -551,9 +549,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
         smStats.sfuBusyCycles += cfg.sfuInitiation;
         if (dst_bit) {
             h.pendingShort |= dst_bit;
-            wbWheel[(now + cfg.sfuLatency) % wheelSize].push_back(
-                {widx, w.epoch, dst_bit});
-            ++wbWheelCount;
+            wbWheel.push(now + cfg.sfuLatency, {widx, w.epoch, dst_bit});
         }
         break;
       }
@@ -573,9 +569,8 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
             ++smStats.shmAccesses;
             if (dst_bit) {
                 h.pendingShort |= dst_bit;
-                wbWheel[(now + cfg.shmLatency * conflict) % wheelSize]
-                    .push_back({widx, w.epoch, dst_bit});
-                ++wbWheelCount;
+                wbWheel.push(now + cfg.shmLatency * conflict,
+                             {widx, w.epoch, dst_bit});
             }
             break;
         }
@@ -596,9 +591,7 @@ SmCore::executeIssue(WarpHot &h, WarpState &w, const Instruction &inst,
                 ++smStats.l1Accesses;
                 switch (l1.read(line, entry)) {
                   case Cache::ReadResult::Hit:
-                    memWheel[(now + cfg.l1HitLatency) % wheelSize]
-                        .push_back(entry);
-                    ++memWheelCount;
+                    memWheel.push(now + cfg.l1HitLatency, entry);
                     break;
                   case Cache::ReadResult::MissNew:
                     ++smStats.l1Misses;
@@ -830,9 +823,7 @@ SmCore::runFetch(Cycle now)
             miss ? cfg.ifetchMissLatency : cfg.fetchLatency;
         w.fetchPending = true;
         w.fetchReadyAt = now + lat;
-        fetchWheel[(now + lat) % wheelSize].push_back(
-            {entry.warp, entry.epoch});
-        ++fetchWheelCount;
+        fetchWheel.push(now + lat, {entry.warp, entry.epoch});
         ++smStats.ifetches;
         if (miss)
             ++smStats.ifetchMisses;
@@ -864,27 +855,22 @@ SmCore::tick(Cycle now)
             ++smStats.kernelLdstBusyCycles[ldstOwner];
     }
 
-    // Timing wheels: the pending counters skip the slot probe (a
-    // cache-line touch each) while a wheel is globally empty.
-    if (wbWheelCount != 0) {
+    // Timing wheels: a wheel with no live entries skips its slot
+    // probe.
+    if (wbWheel.size() != 0) {
         // Writeback wheel: retire short-latency results.
-        auto &wb = wbWheel[now % wheelSize];
-        wbWheelCount -= static_cast<unsigned>(wb.size());
-        for (const WbEntry &e : wb) {
+        wbWheel.drain(now, [&](const WbEntry &e) {
             if (warps[e.warp].epoch == e.epoch) {
                 hot[e.warp].pendingShort &= ~e.regMask;
                 updateIssuable(e.warp);
                 invalidateScanCache();  // a ShortWait warp may be ready
             }
-        }
-        wb.clear();
+        });
     }
 
-    if (fetchWheelCount != 0) {
+    if (fetchWheel.size() != 0) {
         // Instruction-buffer refills completing this cycle.
-        auto &fetch_done = fetchWheel[now % wheelSize];
-        fetchWheelCount -= static_cast<unsigned>(fetch_done.size());
-        for (const FetchEntry &e : fetch_done) {
+        fetchWheel.drain(now, [&](const FetchEntry &e) {
             WarpState &w = warps[e.warp];
             WarpHot &h = hot[e.warp];
             if (h.active && !h.finished && w.epoch == e.epoch &&
@@ -894,17 +880,14 @@ SmCore::tick(Cycle now)
                 updateIssuable(e.warp);
                 invalidateScanCache();  // Empty flips to issuable
             }
-        }
-        fetch_done.clear();
+        });
     }
 
-    if (memWheelCount != 0) {
+    if (memWheel.size() != 0) {
         // L1-hit load transactions maturing this cycle.
-        auto &mem_wb = memWheel[now % wheelSize];
-        memWheelCount -= static_cast<unsigned>(mem_wb.size());
-        for (std::uint16_t load_idx : mem_wb)
+        memWheel.drain(now, [&](std::uint16_t load_idx) {
             completeLoadTransaction(load_idx, now);
-        mem_wb.clear();
+        });
     }
 
     // Line fills arriving from the memory partitions.

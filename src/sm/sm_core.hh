@@ -11,11 +11,13 @@
 #define WSL_SM_SM_CORE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/histogram.hh"
+#include "common/log.hh"
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -30,6 +32,124 @@ namespace wsl {
 
 struct AuditAccess;
 struct SnapshotAccess;
+
+/**
+ * A timing wheel of timingWheelSlots FIFO slots threaded through one
+ * entry pool. Each slot is a head and a tail index into the pool, and
+ * each entry links to the next one in its slot, so a slot drains in
+ * push order. Drained entries go onto a free list that later pushes
+ * reuse: once the pool has grown to the most entries ever in flight,
+ * the wheel allocates nothing. An entry due at cycle `due` lives in
+ * slot `due % slots` and is drained by the first drain(now) with
+ * `now % slots` equal to it, so a latency must be 1 to slots - 1
+ * (GpuConfig::validate() and Gpu::launchKernel enforce that).
+ */
+template <class T>
+class TimingWheel
+{
+  public:
+    using value_type = T;
+    static constexpr unsigned slots = timingWheelSlots;
+    /** Most live entries: indices are 16-bit and one value ends a
+     *  list. */
+    static constexpr std::size_t capacity = 0xffff;
+
+    /** Live entries across all slots. */
+    unsigned size() const { return live; }
+
+    /** Append `v` to the slot of cycle `due`. */
+    void
+    push(Cycle due, const T &v)
+    {
+        std::uint16_t n = freeList;
+        if (n != none) {
+            freeList = pool[n].next;
+            pool[n] = {v, none};
+        } else {
+            WSL_ASSERT(pool.size() < capacity, "timing wheel pool full");
+            n = static_cast<std::uint16_t>(pool.size());
+            pool.push_back({v, none});
+        }
+        Ends &e = ends[due % slots];
+        if (e.head == none)
+            e.head = n;
+        else
+            pool[e.tail].next = n;
+        e.tail = n;
+        ++live;
+    }
+
+    /** Remove the entries of cycle `now`'s slot and pass each, in push
+     *  order, to `each`, which may push onto this wheel. */
+    template <class F>
+    void
+    drain(Cycle now, F &&each)
+    {
+        Ends &e = ends[now % slots];
+        const std::uint16_t first = e.head;
+        if (first == none)
+            return;
+        e = {};
+        std::uint16_t last = first;
+        for (std::uint16_t n = first; n != none; n = pool[last].next) {
+            last = n;
+            --live;
+            const T v = pool[n].value;
+            each(v);
+        }
+        pool[last].next = freeList;
+        freeList = first;
+    }
+
+    /** Pass the entries of slot `slot % slots`, in push order, to
+     *  `each`. */
+    template <class F>
+    void
+    forEachIn(Cycle slot, F &&each) const
+    {
+        for (std::uint16_t n = ends[slot % slots].head; n != none;
+             n = pool[n].next)
+            each(pool[n].value);
+    }
+
+    /** Every live entry, slot by slot. */
+    template <class F>
+    void
+    forEach(F &&each) const
+    {
+        for (unsigned s = 0; s < slots; ++s)
+            forEachIn(s, each);
+    }
+
+    /** Drop every entry. */
+    void
+    clear()
+    {
+        ends.fill({});
+        pool.clear();
+        freeList = none;
+        live = 0;
+    }
+
+  private:
+    static constexpr std::uint16_t none = 0xffff;
+
+    struct Node
+    {
+        T value;
+        std::uint16_t next;
+    };
+    struct Ends
+    {
+        std::uint16_t head = none;
+        std::uint16_t tail = none;
+    };
+
+    std::array<Ends, slots> ends{};
+    std::vector<Node> pool;
+    std::uint16_t freeList = none;
+    unsigned live = 0;
+};
 
 /**
  * One SM. The core is self-contained: the GPU object launches CTAs into
@@ -242,8 +362,6 @@ class SmCore
         std::uint32_t regMask;
     };
 
-    static constexpr unsigned wheelSize = 256;
-
     /**
      * Memoized outcome of a failed (nothing-issued) scheduler scan.
      * A failed scan mutates nothing but stall counters, so until an
@@ -381,16 +499,13 @@ class SmCore
         std::uint32_t epoch;
     };
 
-    // Writeback timing wheels. The pending counters track live slot
-    // entries so tick() can skip probing a wheel's slot while that
-    // wheel is empty, and the auditor can reconcile the L1-hit wheel
-    // with the outstanding loads.
-    std::array<std::vector<WbEntry>, wheelSize> wbWheel;
-    std::array<std::vector<std::uint16_t>, wheelSize> memWheel;
-    std::array<std::vector<FetchEntry>, wheelSize> fetchWheel;
-    unsigned wbWheelCount = 0;
-    unsigned memWheelCount = 0;
-    unsigned fetchWheelCount = 0;
+    // Timing wheels: short-latency writebacks, L1-hit load
+    // transactions (by load entry) and i-buffer refills. tick() skips
+    // a wheel with no live entries, and the auditor reconciles the
+    // L1-hit wheel with the outstanding loads.
+    TimingWheel<WbEntry> wbWheel;
+    TimingWheel<std::uint16_t> memWheel;
+    TimingWheel<FetchEntry> fetchWheel;
 
     // Memory.
     Cache l1;

@@ -19,6 +19,7 @@
 #include "snapshot/snapshot.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "check/auditor.hh"
@@ -93,6 +94,50 @@ checkKernelOrNone(int kid, const char *what, const std::string &where)
 {
     if (kid != invalidKernel)
         checkIndex(kid, maxConcurrentKernels, what, where);
+}
+
+/** A timing wheel's slots in order, each a sequence of its entries in
+ *  drain order, with `entry` the field list of one entry. */
+template <class Ar, class W, class F>
+void
+wheelSlots(Ar &ar, W &wheel, F &&entry)
+{
+    using Wheel = std::remove_const_t<W>;
+    std::vector<typename Wheel::value_type> slot;
+    if constexpr (Ar::loading)
+        wheel.clear();
+    for (unsigned s = 0; s < Wheel::slots; ++s) {
+        if constexpr (Ar::loading) {
+            ar.seq(slot, entry);
+            if (wheel.size() + slot.size() > Wheel::capacity) {
+                throw SnapshotError(
+                    "snapshot corrupted: a timing wheel holds more than " +
+                    std::to_string(Wheel::capacity) + " entries");
+            }
+            for (const auto &e : slot)
+                wheel.push(s, e);
+        } else {
+            slot.clear();
+            wheel.forEachIn(s, [&](const auto &e) { slot.push_back(e); });
+            ar.seq(slot, entry);
+        }
+    }
+}
+
+/** A timing wheel's live count; on restore it must equal the entries
+ *  its slots held. */
+template <class Ar, class W>
+void
+wheelCount(Ar &ar, W &wheel, const std::string &where, const char *what)
+{
+    unsigned count = wheel.size();
+    ar.u32(count);
+    if (count != wheel.size()) {
+        throw SnapshotError("snapshot corrupted: " + where + " " + what +
+                            "-wheel count " + std::to_string(count) +
+                            " does not match its " +
+                            std::to_string(wheel.size()) + " entries");
+    }
 }
 
 } // namespace
@@ -249,15 +294,15 @@ struct SnapshotAccess
             if (last != -1)
                 checkIndex(last, nwarps, "greedy warp", id);
         checkKernelOrNone(s.ldstOwner, "LDST owner kernel", id);
-        for (const auto &slot : s.wbWheel)
-            for (const auto &e : slot)
-                checkIndex(e.warp, nwarps, "writeback warp", id);
-        for (const auto &slot : s.fetchWheel)
-            for (const auto &e : slot)
-                checkIndex(e.warp, nwarps, "fetch-wheel warp", id);
-        for (const auto &slot : s.memWheel)
-            for (std::uint16_t load : slot)
-                checkIndex(load, s.loads.size(), "mem-wheel load", id);
+        s.wbWheel.forEach([&](const auto &e) {
+            checkIndex(e.warp, nwarps, "writeback warp", id);
+        });
+        s.fetchWheel.forEach([&](const auto &e) {
+            checkIndex(e.warp, nwarps, "fetch-wheel warp", id);
+        });
+        s.memWheel.forEach([&](std::uint16_t load) {
+            checkIndex(load, s.loads.size(), "mem-wheel load", id);
+        });
         for (const auto &load : s.loads) {
             checkIndex(load.warp, nwarps, "load warp", id);
             checkKernelOrNone(load.kernel, "load kernel", id);
@@ -407,20 +452,17 @@ struct SnapshotAccess
             ar.u16(e.warp);
             ar.u32(e.epoch);
         };
-        for (auto &slot : s.wbWheel) {
-            ar.seq(slot, [&](auto &e) {
-                ar.u16(e.warp);
-                ar.u32(e.epoch);
-                ar.u32(e.regMask);
-            });
-        }
-        for (auto &slot : s.memWheel)
-            ar.seq(slot, [&](auto &widx) { ar.u16(widx); });
-        for (auto &slot : s.fetchWheel)
-            ar.seq(slot, fetch_entry);
-        ar.u32(s.wbWheelCount);
-        ar.u32(s.memWheelCount);
-        ar.u32(s.fetchWheelCount);
+        wheelSlots(ar, s.wbWheel, [&](auto &e) {
+            ar.u16(e.warp);
+            ar.u32(e.epoch);
+            ar.u32(e.regMask);
+        });
+        wheelSlots(ar, s.memWheel, [&](auto &load) { ar.u16(load); });
+        wheelSlots(ar, s.fetchWheel, fetch_entry);
+        const std::string sm_id = "SM " + std::to_string(s.smId);
+        wheelCount(ar, s.wbWheel, sm_id, "writeback");
+        wheelCount(ar, s.memWheel, sm_id, "mem");
+        wheelCount(ar, s.fetchWheel, sm_id, "fetch");
 
         state(ar, s.l1);
 

@@ -13,6 +13,10 @@
  * restore (io.hh), so the two directions cannot drift apart; the few
  * steps that really differ (kernel relaunch, pointer re-derivation,
  * fingerprint and policy checks) are spelled out inside that list.
+ * An SM's three timing wheels are written as their 256 slots, each a
+ * sequence of entries in drain order, and then their three live
+ * counts, which restore checks against the entries it read; how the
+ * wheel pools its entries in memory is not part of the format.
  * Any change to the bytes bumps snapshotFormatVersion, and
  * tests/golden/results.txt pins the bytes of nine machine states.
  *

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/config.hh"
 #include "expect_throw.hh"
 
@@ -118,6 +121,35 @@ TEST(ConfigValidate, RejectsBadDramRowBytes)
     GpuConfig cfg = GpuConfig::baseline();
     cfg.dramRowBytes = lineSize + 1;
     WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError, "dramRowBytes");
+}
+
+TEST(ConfigValidate, RejectsWheelLatenciesOutsideOneTo255)
+{
+    // The SM retires each of these through a 256-slot timing wheel: 0
+    // would come due a full turn late and 256 or more wraps early.
+    const std::pair<const char *, unsigned GpuConfig::*> latencies[] = {
+        {"aluLatency", &GpuConfig::aluLatency},
+        {"sfuLatency", &GpuConfig::sfuLatency},
+        {"shmLatency", &GpuConfig::shmLatency},
+        {"l1HitLatency", &GpuConfig::l1HitLatency},
+        {"fetchLatency", &GpuConfig::fetchLatency},
+        {"ifetchMissLatency", &GpuConfig::ifetchMissLatency}};
+    for (const auto &[name, field] : latencies) {
+        SCOPED_TRACE(name);
+        GpuConfig cfg = GpuConfig::baseline();
+        for (unsigned bad : {0u, 256u}) {
+            cfg.*field = bad;
+            WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError,
+                                 std::string(name) + " " +
+                                     std::to_string(bad));
+            WSL_EXPECT_THROW_MSG(cfg.validate(), ConfigError,
+                                 "256-slot timing wheel");
+        }
+        for (unsigned good : {1u, 255u}) {
+            cfg.*field = good;
+            EXPECT_NO_THROW(cfg.validate());
+        }
+    }
 }
 
 TEST(ConfigValidate, MessagesAreActionable)

@@ -229,3 +229,20 @@ TEST(GpuDeath, KernelTableOverflowPanics)
     WSL_EXPECT_THROW_MSG(gpu.launchKernel(smallGrid()), InternalError,
                          "full");
 }
+
+TEST(Gpu, RejectsSharedMemoryLatencyPastTheTimingWheel)
+{
+    // A shared-memory result retires shmLatency x shmConflictFactor
+    // cycles after issue through the SM's 256-slot timing wheel.
+    GpuConfig c = cfg;
+    c.shmLatency = 32;
+    Gpu gpu(c, std::make_unique<LeftOverPolicy>());
+    KernelParams k = smallGrid();
+    k.shmConflictFactor = 8;  // 256 cycles: one full turn
+    WSL_EXPECT_THROW_MSG(gpu.launchKernel(k), ConfigError,
+                         "shmLatency 32 x shmConflictFactor 8 = 256");
+    EXPECT_EQ(gpu.numKernels(), 0u);
+    k.shmConflictFactor = 7;  // 224 cycles
+    EXPECT_NO_THROW(gpu.launchKernel(k));
+    EXPECT_EQ(gpu.numKernels(), 1u);
+}

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "check/access.hh"
 #include "check/auditor.hh"
@@ -500,6 +503,101 @@ TEST(SmCore, UtilizationIntegralsAccumulate)
     const SmStats &s = rig.sm.stats();
     EXPECT_EQ(s.regsAllocatedIntegral, 10u * 16u * 64u);
     EXPECT_EQ(s.threadsAllocatedIntegral, 10u * 64u);
+}
+
+// ---- Timing wheels ----
+
+TEST(TimingWheel, SlotDrainsInPushOrderAfterPoolReuse)
+{
+    TimingWheel<int> wheel;
+    auto drained = [&](Cycle now) {
+        std::vector<int> out;
+        wheel.drain(now, [&](int v) { out.push_back(v); });
+        return out;
+    };
+    // Producers with latencies 20, 10 and 5 issued at cycles 10, 20
+    // and 25 all come due at cycle 30.
+    wheel.push(10 + 20, 1);
+    wheel.push(20 + 10, 2);
+    wheel.push(31, 99);
+    wheel.push(25 + 5, 3);
+    EXPECT_EQ(wheel.size(), 4u);
+    EXPECT_EQ(drained(30), (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(wheel.size(), 1u);
+    EXPECT_TRUE(drained(30).empty());
+
+    // The freed entries are handed out again, interleaved between two
+    // slots and a due cycle one full turn later.
+    wheel.push(40, 4);
+    wheel.push(31, 100);
+    wheel.push(40 + TimingWheel<int>::slots, 5);
+    wheel.push(40, 6);
+    EXPECT_EQ(drained(31), (std::vector<int>{99, 100}));
+    EXPECT_EQ(drained(40), (std::vector<int>{4, 5, 6}));
+    EXPECT_EQ(wheel.size(), 0u);
+
+    // A drain callback may push, even onto the slot being drained.
+    wheel.push(50, 7);
+    wheel.push(50, 8);
+    std::vector<int> seen;
+    wheel.drain(50, [&](int v) {
+        seen.push_back(v);
+        wheel.push(50, v + 10);
+    });
+    EXPECT_EQ(seen, (std::vector<int>{7, 8}));
+    EXPECT_EQ(drained(50), (std::vector<int>{17, 18}));
+}
+
+TEST(SmCore, WritebackSlotKeepsPushOrderAcrossUnits)
+{
+    // ALU (latency 10) and SFU (latency 20) results share one wheel, so
+    // an SFU result issued at t and an ALU result issued at t + 10 land
+    // in the same slot. Until a slot drains it may only grow at its
+    // tail, whichever pool entries the pushes reuse.
+    TestRig rig;
+    KernelParams k = aluKernel(40);
+    k.mix.sfu = 2;
+    std::vector<std::unique_ptr<Launched>> ctas;
+    for (unsigned cta = 0; cta < 4; ++cta)
+        ctas.push_back(launch(rig, k, 0, cta));
+
+    using Entry = std::tuple<std::uint16_t, std::uint32_t, std::uint32_t>;
+    const unsigned slots = TimingWheel<int>::slots;
+    std::vector<std::vector<Entry>> before(slots);
+    unsigned grownLater = 0;
+    for (int i = 0; i < 3000; ++i) {
+        rig.tick();
+        const auto &wheel = AuditAccess::wbWheel(rig.sm);
+        const unsigned drainedSlot = (rig.now - 1) % slots;
+        for (unsigned s = 0; s < slots; ++s) {
+            std::vector<Entry> after;
+            wheel.forEachIn(s, [&](const auto &e) {
+                after.emplace_back(e.warp, e.epoch, e.regMask);
+            });
+            if (s == drainedSlot) {
+                ASSERT_TRUE(after.empty()) << "slot " << s;
+            } else {
+                ASSERT_GE(after.size(), before[s].size()) << "slot " << s;
+                ASSERT_TRUE(std::equal(before[s].begin(), before[s].end(),
+                                       after.begin()))
+                    << "slot " << s << " changed ahead of its tail";
+                if (!before[s].empty() && after.size() > before[s].size())
+                    ++grownLater;
+            }
+            before[s] = std::move(after);
+        }
+    }
+    EXPECT_GT(rig.sm.stats().warpInstsIssued, 1000u);
+    EXPECT_GT(grownLater, 0u) << "no slot took pushes from two units";
+}
+
+TEST(SmCore, FootprintFitsInEightKiB)
+{
+    // Each timing wheel threads its 256 slots through one entry pool
+    // instead of holding a vector per slot inline, which took the core
+    // from 22 312 to about 7 000 bytes and keeps a 128-SM machine's SM
+    // state far smaller in the host's caches.
+    EXPECT_LE(sizeof(SmCore), 8192u);
 }
 
 // ---- SoA hot state, driven through the whole GPU ----

@@ -384,6 +384,60 @@ TEST(Snapshot, RejectsOutOfRangeIndices)
     EXPECT_NO_THROW(restoreSnapshot(*fresh(), good));
 }
 
+TEST(Snapshot, RejectsWheelCountMismatch)
+{
+    auto gpu = makeMachine(kCfg);
+    gpu->run(5000);
+    const std::vector<std::uint8_t> good = saveSnapshot(*gpu);
+    const SmCore &sm = gpu->sm(0);
+
+    // The three stored counts follow SM 0's fetch-wheel slots.
+    SnapWriter slots;
+    const auto &fetch = AuditAccess::fetchWheel(sm);
+    for (unsigned s = 0; s < fetch.slots; ++s) {
+        std::vector<std::pair<std::uint16_t, std::uint32_t>> entries;
+        fetch.forEachIn(s, [&](const auto &e) {
+            entries.emplace_back(e.warp, e.epoch);
+        });
+        slots.u32(entries.size());
+        for (const auto &[warp, epoch] : entries) {
+            slots.u16(warp);
+            slots.u32(epoch);
+        }
+    }
+    std::vector<std::uint8_t> needle = slots.take();
+    const std::size_t counts_at = needle.size();
+    const unsigned counts[] = {AuditAccess::wbWheel(sm).size(),
+                               AuditAccess::memWheel(sm).size(),
+                               fetch.size()};
+    SnapWriter stored;
+    for (unsigned count : counts)
+        stored.u32(count);
+    const std::vector<std::uint8_t> count_bytes = stored.take();
+    needle.insert(needle.end(), count_bytes.begin(), count_bytes.end());
+
+    const char *names[] = {"writeback", "mem", "fetch"};
+    for (unsigned i = 0; i < 3; ++i) {
+        Gpu fresh(kCfg, std::make_unique<WarpedSlicerPolicy>(
+                            scaledSlicerOptions(kWindow)));
+        const std::string msg =
+            std::string("SM 0 ") + names[i] + "-wheel count " +
+            std::to_string(counts[i] + 1) + " does not match its " +
+            std::to_string(counts[i]) + " entries";
+        WSL_EXPECT_THROW_MSG(
+            restoreSnapshot(fresh,
+                            patchedSnapshot(good, needle,
+                                            counts_at + 4 * i,
+                                            bytesOf(counts[i] + 1))),
+            SnapshotError, msg);
+    }
+
+    // The unpatched file still restores.
+    Gpu fresh(kCfg, std::make_unique<WarpedSlicerPolicy>(
+                        scaledSlicerOptions(kWindow)));
+    EXPECT_NO_THROW(restoreSnapshot(fresh, good));
+}
+
 TEST(Snapshot, RejectsOutOfRangeEnumBytes)
 {
     auto gpu = makeMachine(kCfg);

@@ -2,9 +2,11 @@
  * @file
  * wslicer-fuzz: randomized integrity fuzzing for the simulator.
  *
- * Each seed deterministically generates a machine configuration and a
- * small co-scheduled kernel mix (sizes, register/shared-memory
- * pressure, barrier and divergence behavior, memory patterns), then
+ * Each seed deterministically generates a machine configuration
+ * (including the six latencies the SM retires through its 256-slot
+ * timing wheels, one draw in five between 200 and 255) and a small
+ * co-scheduled kernel mix (sizes, register/shared-memory pressure,
+ * barrier and divergence behavior, memory patterns), then
  * runs it with the invariant auditor at maximum cadence and the
  * no-progress watchdog armed. Any InvariantViolation, DeadlockError,
  * or InternalError is a finding: the fuzzer re-runs the same seed at
@@ -27,6 +29,7 @@
  * like the classic mode.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -103,9 +106,25 @@ randomKernel(Rng &rng, const GpuConfig &cfg, unsigned index)
     k.mem.transactionsPerAccess =
         1 + static_cast<unsigned>(rng.range(4));
     k.ifetchMissRate = rng.uniform() * 0.05;
-    if (k.mix.ldShared + k.mix.stShared > 0)
-        k.shmConflictFactor = 1 + static_cast<unsigned>(rng.range(4));
+    if (k.mix.ldShared + k.mix.stShared > 0) {
+        // shmLatency x shmConflictFactor must stay inside the wheel.
+        const unsigned max_factor =
+            std::min(4u, (timingWheelSlots - 1) / cfg.shmLatency);
+        k.shmConflictFactor =
+            1 + static_cast<unsigned>(rng.range(max_factor));
+    }
     return k;
+}
+
+/** A timing-wheel latency: up to twice the shipped value, or one draw
+ *  in five between 200 and 255, where wheel slots fill near the
+ *  256-cycle wrap. */
+unsigned
+wheelLatency(Rng &rng, unsigned shipped)
+{
+    if (rng.chance(0.2))
+        return 200 + static_cast<unsigned>(rng.range(56));
+    return 1 + static_cast<unsigned>(rng.range(2 * shipped));
 }
 
 /** Deterministically derive the whole scenario from one seed. */
@@ -124,6 +143,11 @@ buildScenario(std::uint64_t seed, const FuzzOptions &opt)
     sc.cfg.l1Mshrs = mshr_choices[rng.range(4)];
     sc.cfg.scheduler =
         rng.chance(0.5) ? SchedulerKind::Gto : SchedulerKind::Lrr;
+    for (unsigned GpuConfig::*latency :
+         {&GpuConfig::aluLatency, &GpuConfig::sfuLatency,
+          &GpuConfig::shmLatency, &GpuConfig::l1HitLatency,
+          &GpuConfig::fetchLatency, &GpuConfig::ifetchMissLatency})
+        sc.cfg.*latency = wheelLatency(rng, sc.cfg.*latency);
     sc.cfg.auditCadence = opt.cadence;
     sc.cfg.watchdogCycles = opt.watchdog;
     sc.cfg.seed = seed;
