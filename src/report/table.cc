@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "obs/json.hh"
 
 namespace wsl {
 
@@ -85,22 +86,6 @@ Table::writeCsv(std::ostream &os) const
         emit(row);
 }
 
-std::string
-Table::jsonEscape(const std::string &field)
-{
-    std::string out;
-    for (char ch : field) {
-        switch (ch) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += ch; break;
-        }
-    }
-    return out;
-}
-
 void
 Table::writeJson(std::ostream &os) const
 {
@@ -108,8 +93,8 @@ Table::writeJson(std::ostream &os) const
     for (std::size_t r = 0; r < rows.size(); ++r) {
         os << (r ? ",\n " : "\n ") << "{";
         for (std::size_t c = 0; c < header.size(); ++c) {
-            os << (c ? ", " : "") << '"' << jsonEscape(header[c])
-               << "\": \"" << jsonEscape(rows[r][c]) << '"';
+            os << (c ? ", " : "") << '"' << jsonEscaped(header[c])
+               << "\": \"" << jsonEscaped(rows[r][c]) << '"';
         }
         os << "}";
     }

@@ -43,7 +43,6 @@ class Table
 
   private:
     static std::string csvEscape(const std::string &field);
-    static std::string jsonEscape(const std::string &field);
 
     std::vector<std::string> header;
     std::vector<std::vector<std::string>> rows;

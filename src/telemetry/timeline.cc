@@ -1,13 +1,13 @@
 #include "telemetry/timeline.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/stats.hh"
+#include "obs/json.hh"
 #include "telemetry/telemetry.hh"
 
 namespace wsl {
@@ -21,32 +21,6 @@ constexpr int pidParts = 3;
 
 // Thread 0 of the kernel process carries the scheduler's instants.
 constexpr int tidScheduler = 0;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Emits one JSON object per event, handling the separating commas. */
 class EventWriter
@@ -69,7 +43,7 @@ class EventWriter
         std::ostringstream b;
         b << "\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid
           << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-          << jsonEscape(name) << "\"}";
+          << jsonEscaped(name) << "\"}";
         emit(b.str());
     }
 
@@ -78,7 +52,7 @@ class EventWriter
           Cycle dur, const std::string &args)
     {
         std::ostringstream b;
-        b << "\"name\":\"" << jsonEscape(name)
+        b << "\"name\":\"" << jsonEscaped(name)
           << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
           << ",\"ts\":" << ts << ",\"dur\":" << dur;
         if (!args.empty())
@@ -91,7 +65,7 @@ class EventWriter
             const std::string &args)
     {
         std::ostringstream b;
-        b << "\"name\":\"" << jsonEscape(name)
+        b << "\"name\":\"" << jsonEscaped(name)
           << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid
           << ",\"tid\":" << tid << ",\"ts\":" << ts;
         if (!args.empty())
@@ -104,7 +78,7 @@ class EventWriter
             const std::string &series, double value)
     {
         std::ostringstream b;
-        b << "\"name\":\"" << jsonEscape(name)
+        b << "\"name\":\"" << jsonEscaped(name)
           << "\",\"ph\":\"C\",\"pid\":" << pid << ",\"tid\":0,\"ts\":"
           << ts << ",\"args\":{\"" << series << "\":" << value << "}";
         emit(b.str());
@@ -191,13 +165,13 @@ writeChromeTrace(std::ostream &os, const TelemetrySampler &sampler,
         switch (r.event) {
           case SimEvent::CtaLaunch:
             args << "\"cta\":" << r.a << ",\"kernel\":\""
-                 << jsonEscape(kernelLabel(sampler, r.kernel)) << "\"";
+                 << jsonEscaped(kernelLabel(sampler, r.kernel)) << "\"";
             w.instant("cta_launch", pidSms, static_cast<int>(r.b),
                       r.cycle, args.str());
             break;
           case SimEvent::CtaComplete:
             args << "\"completed\":" << r.a << ",\"kernel\":\""
-                 << jsonEscape(kernelLabel(sampler, r.kernel)) << "\"";
+                 << jsonEscaped(kernelLabel(sampler, r.kernel)) << "\"";
             w.instant("cta_complete", pidSms, static_cast<int>(r.b),
                       r.cycle, args.str());
             break;

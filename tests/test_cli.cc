@@ -1,14 +1,16 @@
 /**
  * @file
  * End-to-end smoke tests for the wslicer-sim command-line driver (and
- * wslicer-fuzz's option parsing), run as subprocesses. CTest executes
- * these from build/tests, so the tools live in ../tools.
+ * the option parsing of wslicer-fuzz and wslicer-report), run as
+ * subprocesses. CTest executes these from build/tests, so the tools
+ * live in ../tools.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -176,9 +178,10 @@ TEST(Cli, FuzzRejectsMalformedNumbers)
     if (toolPath("wslicer-fuzz").empty())
         GTEST_SKIP() << "wslicer-fuzz not built next to the tests";
     // Each must stop before any seed runs: read leniently, "--cycles
-    // abc" simulated 0 cycles and still reported every seed clean.
-    for (const char *flags :
-         {"--cycles abc", "--cycles 0", "--cadence 7q", "--seeds -1"}) {
+    // abc" simulated 0 cycles and still reported every seed clean, and
+    // the snapshot probe cannot pick a capture cycle inside one cycle.
+    for (const char *flags : {"--cycles abc", "--cycles 0", "--cadence 7q",
+                              "--seeds -1", "--snapshot --cycles 1"}) {
         const auto [status, out] =
             run(std::string("--seeds 3 ") + flags, "wslicer-fuzz");
         ASSERT_TRUE(WIFEXITED(status)) << flags;
@@ -261,4 +264,181 @@ TEST(Cli, TraceFlagIsUnknown)
     REQUIRE_CLI();
     expectUsageErrors({"corun MM BFS --window 2000", "solo MM --cycles 2000"},
                       {"--trace /tmp/wsl_cli_unwritten.out"});
+}
+
+TEST(Cli, FlagsAreRejectedOnCommandsThatDoNotReadThem)
+{
+    REQUIRE_CLI();
+    // Each used to run as if the flag were absent.
+    expectUsageErrors({"solo MM --cycles 2000"},
+                      {"--chaos-seed 5", "--rate 3", "--policy even",
+                       "--window 2000", "--jobs 2"});
+    expectUsageErrors({"corun MM BFS --window 2000"},
+                      {"--closed-loop", "--max-batch 2", "--ctas 3",
+                       "--seed 9", "--cycles 2000"});
+    expectUsageErrors({"list"},
+                      {"--sched lrr", "--audit", "--large", "--jobs 2"});
+    expectUsageErrors({"serve --window 2000"}, {"--cycles 2000", "--jobs 2"});
+}
+
+TEST(Cli, FlagsWithoutTheFlagTheyNeedAreRejected)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"corun MM BFS --window 2000"},
+                      {"--snapshot-at 1000", "--checkpoint-every 1000"});
+    expectUsageErrors({"serve --window 2000"}, {"--chaos-faults 3"});
+}
+
+TEST(Cli, FlagsThatAnotherFlagMakesInertAreRejected)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"corun MM BFS --window 2000 --snapshot "
+                       "/tmp/wsl_cli_unwritten.out"},
+                      {"--snapshot-at 500 --checkpoint-every 1000"});
+    expectUsageErrors({"serve --window 2000"}, {"--rate 2 --closed-loop"});
+}
+
+TEST(Cli, ValuesTheRunWouldClampOrRefuseAreRejected)
+{
+    REQUIRE_CLI();
+    expectUsageErrors({"serve --window 2000"},
+                      {"--max-batch 9", "--max-batch 0",
+                       "--policy fixed:1,2", "--rate -1"});
+    expectUsageErrors({"curves MM --cycles 500"}, {"--jobs 4x", "--jobs -1"});
+    expectUsageErrors({"solo MM --cycles 1000"},
+                      {"--ctas -3", "--ctas 0"});
+    expectUsageErrors({"list"}, {"--preset bogus"});
+    expectUsageErrors({"corun MM BFS --window 2000"},
+                      {"--policy bogus", "--policy fixed:4",
+                       "--policy fixed:-1,4", "--stats-interval 0"});
+}
+
+TEST(Cli, DocumentedInvocationsParse)
+{
+    REQUIRE_CLI();
+    // Every distinct wslicer-sim flag set in README.md, EXPERIMENTS.md,
+    // the verify skill and the CI workflow, with outputs under /tmp and
+    // windows cut to a few thousand cycles.
+    setenv("WSL_WINDOW", "3000", 1);
+    const std::string d = " /tmp/wsl_cli_doc_";
+    for (const std::string &args : {
+             std::string("list"),
+             "solo LBM --cycles 3000 --csv" + d + "lbm.csv",
+             std::string("curves MVP"),
+             "corun IMG NN --policy dynamic --decision-log" + d + "d.json",
+             std::string("corun HOT BLK MM --policy even --preset large"),
+             std::string("combos HOT BLK"),
+             "corun MM BFS --policy dynamic --stats-interval 1000"
+             " --timeline" + d + "tl.json --csv" + d + "ts.csv",
+             "corun MM BFS --policy dynamic --stats-interval 1000"
+             " --timeline" + d + "tl.json --csv" + d + "ts.csv --jobs 4",
+             "corun MM LBM --policy dynamic --decision-log" + d +
+                 "dec.json --profile" + d + "prof.json --manifest" + d +
+                 "man.json --prom" + d + "ctr.prom",
+             "corun MM LBM --window 3000 --snapshot" + d + "ck.snap",
+             "corun MM LBM --window 3000 --restore" + d +
+                 "ck.snap --manifest" + d + "m.json --decision-log" + d +
+                 "d.json",
+             "corun MM LBM --window 3000 --restore" + d +
+                 "ck.snap --audit=1",
+             "corun MM LBM --policy dynamic --profile" + d +
+                 "prof.json --manifest" + d + "man.json",
+             "corun MM LBM --policy dynamic --decision-log" + d + "dec.json",
+             "corun MM LBM --window 3000 --checkpoint-every 1000 --snapshot" +
+                 d + "ck2.snap",
+             "corun MM LBM --window 3000 --restore" + d +
+                 "ck2.snap --manifest" + d + "resumed.json",
+             "corun IMG NN --policy dynamic --window 3000 --stats-interval"
+             " 1000 --timeline" + d + "imgnn.json",
+             "corun MM LBM --policy dynamic --window 3000 --decision-log" +
+                 d + "dec.json --profile" + d + "prof.json --manifest" + d +
+                 "man.json --prom" + d + "ctr.prom",
+             "corun MM LBM --policy dynamic --window 3000 --snapshot" + d +
+                 "ck3.snap --manifest" + d + "cold.json",
+             "corun MM LBM --policy dynamic --window 3000 --restore" + d +
+                 "ck3.snap --decision-log" + d + "rd.json --manifest" + d +
+                 "rm.json",
+             "serve --rate 4 --policy dynamic --slo" + d + "slo.json --prom" +
+                 d + "serve.prom",
+             std::string("serve --chaos-seed 11 --chaos-faults 6"),
+             "serve --policy even --rate 2 --seed 7 --preset dc --slo" + d +
+                 "slo_dc.json",
+             "serve --window 3000 --seed 7 --chaos-seed 11 --chaos-faults 6"
+             " --slo" + d + "chaos.json --manifest" + d +
+                 "serve_man.json --prom" + d + "serve_ctr.prom",
+             "serve --window 3000 --seed 7 --chaos-seed 11 --chaos-faults 6"
+             " --slo" + d + "chaos2.json",
+             "serve --window 3000 --seed 7 --rate 2 --slo" + d + "clean.json",
+             "serve --window 3000 --seed 7 --closed-loop --slo" + d +
+                 "closed.json",
+             std::string("serve --window 3000 --seed 7 --chaos-seed 11"
+                         " --chaos-faults 6"),
+         }) {
+        const auto [status, out] = run(args);
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 0) << args << "\n" << out;
+    }
+    unsetenv("WSL_WINDOW");
+}
+
+namespace {
+
+/** Write a two-key BENCH-style JSON file with this throughput. */
+std::string
+benchJson(const std::string &name, double mcyclesPerSec)
+{
+    const std::string path = "/tmp/wsl_cli_report_" + name + ".json";
+    std::ofstream(path) << "{\"hardware_threads\": 4, "
+                           "\"sim_mcycles_per_sec\": "
+                        << mcyclesPerSec << "}\n";
+    return path;
+}
+
+/** wslicer-report's exit code for `args`, or -1 if it did not exit. */
+int
+reportStatus(const std::string &args)
+{
+    const auto [status, out] = run(args, "wslicer-report");
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+} // namespace
+
+TEST(Cli, ReportDiffThresholdParsesStrictly)
+{
+    if (toolPath("wslicer-report").empty())
+        GTEST_SKIP() << "wslicer-report not built next to the tests";
+    const std::string base = benchJson("base", 100);
+    const std::string drop5 = benchJson("drop5", 95);
+    const std::string drop99 = benchJson("drop99", 1);
+    const std::string diff5 = "diff " + base + " " + drop5;
+    const std::string diff99 = "diff " + base + " " + drop99;
+    EXPECT_EQ(reportStatus(diff5), 0);
+    EXPECT_EQ(reportStatus(diff99), 1);
+    EXPECT_EQ(reportStatus(diff5 + " --threshold 0.1"), 0);
+    EXPECT_EQ(reportStatus(diff5 + " --threshold 0.01"), 1);
+    EXPECT_EQ(reportStatus(diff5 + " --threshold 0"), 1);
+    // Read leniently, "abc" was 0 (a 5 % drop failed the gate) and 5
+    // passed a 99 % drop.
+    for (const char *bad : {"abc", "5", "1", "-0.1", "0.2x", "''"}) {
+        EXPECT_EQ(reportStatus(diff5 + " --threshold " + bad), 2) << bad;
+        EXPECT_EQ(reportStatus(diff99 + " --threshold " + bad), 2) << bad;
+    }
+    EXPECT_EQ(reportStatus(diff5 + " --threshold"), 2);
+}
+
+TEST(Cli, ReportTakesCommandsNotFlagSpellings)
+{
+    if (toolPath("wslicer-report").empty())
+        GTEST_SKIP() << "wslicer-report not built next to the tests";
+    const std::string base = benchJson("base", 100);
+    for (const char *spelling : {"--check", "--explain", "--slo"}) {
+        const auto [status, out] =
+            run(std::string(spelling) + " " + base, "wslicer-report");
+        ASSERT_TRUE(WIFEXITED(status)) << spelling;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << spelling;
+        EXPECT_NE(out.find("usage"), std::string::npos) << spelling;
+    }
+    EXPECT_EQ(reportStatus("--diff " + base + " " + base), 2);
+    EXPECT_EQ(reportStatus("diff " + base + " " + base), 0);
 }

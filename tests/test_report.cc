@@ -89,9 +89,13 @@ TEST(Table, JsonEscapesQuotesAndBackslashes)
 {
     Table t({"k"});
     t.addRow({"a\"b\\c"});
+    t.addRow({"\r\x01"});
     std::ostringstream os;
     t.writeJson(os);
     EXPECT_NE(os.str().find("a\\\"b\\\\c"), std::string::npos);
+    // Raw control characters make the document invalid JSON.
+    EXPECT_NE(os.str().find("\\r\\u0001"), std::string::npos);
+    EXPECT_EQ(os.str().find('\r'), std::string::npos);
 }
 
 TEST(Table, NumFormatsWithPrecision)

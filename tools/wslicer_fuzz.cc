@@ -13,11 +13,7 @@
  * audit cadence 1 to shrink the failure to its first failing cycle,
  * prints both reports, and exits non-zero.
  *
- *   wslicer-fuzz [--seeds N] [--start-seed S] [--cycles C]
- *                [--cadence K] [--watchdog W] [--snapshot]
- *
- * Defaults: 50 seeds from 1, 20000 cycles each, audit cadence 1,
- * watchdog 10000 cycles.
+ * The flag table in main lists the flags and their defaults.
  *
  * --snapshot switches every seed to a snapshot round-trip probe: the
  * scenario runs cold to completion, then again to a random cycle
@@ -31,8 +27,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,16 +55,6 @@ struct Scenario
     std::vector<KernelParams> kernels;
     PolicyKind kind = PolicyKind::LeftOver;
 };
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: wslicer-fuzz [--seeds N] [--start-seed S] "
-                 "[--cycles C] [--cadence K] [--watchdog W] "
-                 "[--snapshot]\n");
-    std::exit(2);
-}
 
 KernelParams
 randomKernel(Rng &rng, const GpuConfig &cfg, unsigned index)
@@ -297,36 +281,28 @@ int
 main(int argc, char **argv)
 {
     FuzzOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // The next argument as a whole number (see parseNumber).
-        auto num = [&]() -> std::uint64_t {
-            if (i + 1 >= argc)
-                usage();
-            const std::optional<std::uint64_t> value =
-                parseNumber<std::uint64_t>(argv[++i], "wslicer-fuzz",
-                                           arg.c_str());
-            if (!value)
-                usage();
-            return *value;
-        };
-        if (arg == "--seeds")
-            opt.seeds = num();
-        else if (arg == "--start-seed")
-            opt.startSeed = num();
-        else if (arg == "--cycles")
-            opt.cycles = num();
-        else if (arg == "--cadence")
-            opt.cadence = num();
-        else if (arg == "--watchdog")
-            opt.watchdog = num();
-        else if (arg == "--snapshot")
-            opt.snapshotMode = true;
-        else
-            usage();
+    const std::vector<Flag<FuzzOptions>> flags = {
+        {"--seeds", number(&FuzzOptions::seeds, "N", 1),
+         "seeds to run (default 50)"},
+        {"--start-seed", number(&FuzzOptions::startSeed, "S"),
+         "first seed (default 1)"},
+        // The snapshot probe captures at a cycle in [1, C - 1].
+        {"--cycles", number(&FuzzOptions::cycles, "C", 2),
+         "cycles per seed, at least 2 (default 20000)"},
+        {"--cadence", number(&FuzzOptions::cadence, "K", 1),
+         "integrity audit cadence in cycles (default 1)"},
+        {"--watchdog", number(&FuzzOptions::watchdog, "W"),
+         "no-progress watchdog in cycles, 0 = off (default 10000)"},
+        {"--snapshot", toggle(&FuzzOptions::snapshotMode),
+         "probe a snapshot round-trip at a random cycle instead"},
+    };
+    const auto positional =
+        parseFlags(flags, opt, "wslicer-fuzz", 1, 1, argc, argv);
+    if (!positional || !positional->empty()) {
+        std::fputs("usage: wslicer-fuzz [flags]\n", stderr);
+        printFlags(flags);
+        return 2;
     }
-    if (opt.seeds == 0 || opt.cycles == 0 || opt.cadence == 0)
-        usage();
 
     unsigned failures = 0;
     for (std::uint64_t s = 0; s < opt.seeds; ++s) {

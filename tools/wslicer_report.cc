@@ -14,10 +14,11 @@
  *
  *   wslicer-report diff <base.json> <fresh.json> [--threshold X]
  *       Compare two manifests or BENCH JSONs. Exit 0 when clean,
- *       1 when a throughput or bit-identity key regressed, 2 when
- *       either input is malformed. Thread-sensitive keys are skipped
- *       when the two runs were recorded on hosts with different
- *       hardware_threads.
+ *       1 when a throughput key fell by more than the fraction X
+ *       (0 <= X < 1, default 0.2) or a bit-identity key regressed,
+ *       2 when either input or X is malformed. Thread-sensitive
+ *       keys are skipped when the two runs were recorded on hosts
+ *       with different hardware_threads.
  *
  *   wslicer-report slo <serve.json>
  *       Render a serving-run SLO report (`wslicer-sim serve --slo`)
@@ -26,14 +27,15 @@
  *       broken, 2 when the input is not a serve report.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "obs/json.hh"
 #include "obs/report.hh"
+#include "parse_number.hh"
 
 namespace {
 
@@ -77,17 +79,7 @@ main(int argc, char **argv)
 {
     if (argc < 3)
         return usage();
-    std::string cmd = argv[1];
-    // CI invokes `wslicer-report --check manifest.json`; accept the
-    // flag spellings as aliases for the subcommands.
-    if (cmd == "--check")
-        cmd = "check";
-    else if (cmd == "--explain")
-        cmd = "explain";
-    else if (cmd == "--diff")
-        cmd = "diff";
-    else if (cmd == "--slo")
-        cmd = "slo";
+    const std::string cmd = argv[1];
 
     if (cmd == "explain") {
         wsl::JsonValue doc;
@@ -139,11 +131,17 @@ main(int argc, char **argv)
             return usage();
         double threshold = 0.20;
         for (int i = 4; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--threshold" && i + 1 < argc)
-                threshold = std::strtod(argv[++i], nullptr);
-            else
+            if (std::string(argv[i]) != "--threshold" || i + 1 >= argc)
                 return usage();
+            // A fraction of the baseline: 1 or more would pass any drop.
+            const std::optional<double> t =
+                wsl::parseNumber<double>(argv[++i]);
+            if (!t || *t < 0 || *t >= 1) {
+                std::cerr << "wslicer-report: --threshold: '" << argv[i]
+                          << "' is not a fraction in [0, 1)\n";
+                return usage();
+            }
+            threshold = *t;
         }
         wsl::JsonValue base, fresh;
         if (!loadJson(argv[2], base) || !loadJson(argv[3], fresh))

@@ -5,55 +5,41 @@
  *   wslicer-sim list
  *       List the available benchmark kernels and their parameters.
  *
- *   wslicer-sim solo BENCH [--cycles N] [--ctas Q] [--large]
+ *   wslicer-sim solo BENCH
  *       Run one benchmark in isolation and dump its statistics.
  *
- *   wslicer-sim curves BENCH [--cycles N] [--large]
+ *   wslicer-sim curves BENCH
  *       Print the performance-vs-CTA-occupancy curve (Figure 3a).
  *
  *   wslicer-sim corun BENCH1 BENCH2 [BENCH3]
- *       [--policy leftover|spatial|even|dynamic|fixed:Q1,Q2[,Q3]]
- *       [--window N] [--sched gto|lrr] [--large]
- *       [--stats-interval N] [--timeline FILE]
  *       Co-run benchmarks under a multiprogramming policy using the
- *       paper's instruction-target methodology. --stats-interval
- *       samples interval telemetry every N cycles (--csv/--json then
- *       export the time series instead of the summary table);
- *       --timeline, which needs --stats-interval, writes the
- *       sampler's events and series as a Chrome trace-event JSON file
- *       for ui.perfetto.dev.
+ *       paper's instruction-target methodology, with optional interval
+ *       telemetry, engine observability and checkpointing.
  *
- *   wslicer-sim combos BENCH1 BENCH2 [--window N]
+ *   wslicer-sim combos BENCH1 BENCH2
  *       Exhaustively evaluate every feasible CTA partition (the
  *       oracle's search space).
  *
- *   wslicer-sim serve [--rate R] [--closed-loop] [--horizon N]
- *       [--quantum N] [--max-batch K] [--seed N]
- *       [--chaos-seed N [--chaos-faults N]] [--slo FILE]
+ *   wslicer-sim serve
  *       Run the long-lived multi-tenant serving layer: seeded
  *       open-loop Poisson (or closed-loop) arrivals over the default
  *       tenant-class mix, admission control with bounded queues and
  *       deadline-feasibility shedding, EDF dispatch with preemption,
  *       and — with --chaos-seed — seeded fault injection with
- *       snapshot-rollback recovery and tenant quarantine. --slo
- *       writes the per-class SLO report (wslicer-report slo renders
- *       it). Exits non-zero if any organic invariant violation
- *       occurred.
+ *       snapshot-rollback recovery and tenant quarantine. Exits
+ *       non-zero if any organic invariant violation occurred.
  *
- * Global options: --csv FILE | --json FILE write the result table to a
- * file in addition to the text output. --jobs N (or WSL_JOBS) runs
- * independent simulations on N worker threads (0 = all hardware
- * threads); results are bit-identical to serial runs. An output flag
- * the command never writes (say, --timeline on solo) is a usage error.
+ * The flag table below is the flag list and the usage text. Each
+ * command accepts only the flags it reads.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hh"
@@ -74,16 +60,25 @@ using namespace wsl;
 
 namespace {
 
+struct Options;
+
+struct Command
+{
+    const char *name;
+    const char *args;  //!< positional arguments, for the usage text
+    std::size_t minBenches, maxBenches;
+    int (*run)(const Options &);
+};
+
 struct Options
 {
-    std::string command;
+    const Command *command = nullptr;
     std::vector<std::string> benchNames;
     Cycle cycles = 0;      // 0 = defaultWindow()
-    int ctas = -1;
+    int ctas = -1;         // -1 = as many as fit
     std::string policy = "dynamic";
     SchedulerKind sched = SchedulerKind::Gto;
-    bool large = false;
-    std::string preset;  //!< baseline|large|dc ("" = --large/baseline)
+    GpuConfig (*preset)() = GpuConfig::baseline;
     Cycle auditCadence = 0;    //!< 0 = integrity audits off
     Cycle watchdogCycles = 0;  //!< 0 = no-progress watchdog off
     std::string csvPath;
@@ -111,199 +106,45 @@ struct Options
     unsigned jobs = defaultJobs();  //!< worker threads (WSL_JOBS)
 };
 
-[[noreturn]] void
-usage(const char *argv0)
+/**
+ * The policy `text` names: leftover, spatial, even, dynamic, or
+ * fixed:Q1,Q2[,Q3], which runs LeftOver under the CTA quotas it
+ * stores in `quotas`. Nothing when `text` is none of these.
+ */
+std::optional<PolicyKind>
+parsePolicy(const std::string &text, std::vector<int> *quotas = nullptr)
 {
-    std::fprintf(stderr,
-                 "usage: %s list | solo BENCH | curves BENCH | "
-                 "corun B1 B2 [B3] | combos B1 B2 | serve [options]\n"
-                 "options: --cycles N --window N --ctas Q --large\n"
-                 "         --preset baseline|large|dc (dc: 128 SMs / "
-                 "32 partitions; not a paper machine)\n"
-                 "         --policy leftover|spatial|even|dynamic|"
-                 "fixed:Q1,Q2[,Q3]\n"
-                 "         --sched gto|lrr --csv FILE --json FILE --jobs N\n"
-                 "         --audit[=N] (run integrity audits every N "
-                 "cycles; default 10000)\n"
-                 "         --watchdog-cycles N (fail with a deadlock "
-                 "report after N cycles without progress)\n"
-                 "observability (corun): --stats-interval N "
-                 "[--timeline FILE] --profile FILE\n"
-                 "observability (corun, serve): --decision-log FILE "
-                 "--manifest FILE --prom FILE\n"
-                 "checkpointing (corun): --snapshot FILE "
-                 "[--snapshot-at N | --checkpoint-every N]\n"
-                 "         --restore FILE (resume a checkpointed run; "
-                 "bit-identical to the uninterrupted run)\n"
-                 "serving (serve): --rate R (arrivals per 10k cycles) "
-                 "--closed-loop --horizon N --quantum N\n"
-                 "         --max-batch K --seed N --slo FILE\n"
-                 "         --chaos-seed N [--chaos-faults N] (seeded "
-                 "fault injection; deterministic per seed)\n",
-                 argv0);
-    std::exit(2);
-}
-
-/** parseNumber, exiting through usage() on a malformed value. */
-template <typename T>
-T
-numberArg(const std::string &text, const char *what)
-{
-    const std::optional<T> value = parseNumber<T>(text, "wslicer-sim", what);
-    if (!value)
-        usage("wslicer-sim");
-    return *value;
-}
-
-/** False for an output flag that `command` never writes. */
-bool
-flagFitsCommand(const std::string &flag, const std::string &command)
-{
-    const auto among = [&](std::initializer_list<const char *> flags) {
-        for (const char *f : flags)
-            if (flag == f)
-                return true;
-        return false;
-    };
-    if (among({"--timeline", "--stats-interval", "--profile",
-               "--snapshot", "--snapshot-at", "--checkpoint-every",
-               "--restore"}))
-        return command == "corun";
-    if (flag == "--slo")
-        return command == "serve";
-    if (among({"--decision-log", "--manifest", "--prom"}))
-        return command == "corun" || command == "serve";
-    return true;
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    if (argc < 2)
-        usage(argv[0]);
-    Options opt;
-    opt.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!flagFitsCommand(arg, opt.command))
-            usage(argv[0]);
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        // The next argument as a number of type T (see parseNumber).
-        auto num = [&]<typename T>(T &out) {
-            out = numberArg<T>(next(), arg.c_str());
-        };
-        if (arg == "--cycles" || arg == "--window")
-            num(opt.cycles);
-        else if (arg == "--ctas")
-            num(opt.ctas);
-        else if (arg == "--policy")
-            opt.policy = next();
-        else if (arg == "--sched") {
-            const std::string v = next();
-            if (v == "gto")
-                opt.sched = SchedulerKind::Gto;
-            else if (v == "lrr")
-                opt.sched = SchedulerKind::Lrr;
-            else
-                usage(argv[0]);
-        } else if (arg == "--large")
-            opt.large = true;
-        else if (arg == "--preset")
-            opt.preset = next();
-        else if (arg == "--audit")
-            opt.auditCadence = 10'000;
-        else if (arg.rfind("--audit=", 0) == 0) {
-            opt.auditCadence = numberArg<Cycle>(arg.substr(8), "--audit");
-            if (opt.auditCadence == 0)
-                usage(argv[0]);
-        } else if (arg == "--watchdog-cycles") {
-            num(opt.watchdogCycles);
-            if (opt.watchdogCycles == 0)
-                usage(argv[0]);
-        }
-        else if (arg == "--decision-log")
-            opt.decisionLogPath = next();
-        else if (arg == "--profile")
-            opt.profilePath = next();
-        else if (arg == "--manifest")
-            opt.manifestPath = next();
-        else if (arg == "--prom")
-            opt.promPath = next();
-        else if (arg == "--snapshot")
-            opt.snapshotPath = next();
-        else if (arg == "--snapshot-at") {
-            num(opt.snapshotAt);
-            if (opt.snapshotAt == 0)
-                usage(argv[0]);
-        } else if (arg == "--checkpoint-every") {
-            num(opt.checkpointEvery);
-            if (opt.checkpointEvery == 0)
-                usage(argv[0]);
-        } else if (arg == "--restore")
-            opt.restorePath = next();
-        else if (arg == "--timeline")
-            opt.timelinePath = next();
-        else if (arg == "--stats-interval")
-            num(opt.statsInterval);
-        else if (arg == "--jobs")
-            opt.jobs = parseJobs(next().c_str(), "--jobs");
-        else if (arg == "--rate")
-            num(opt.rate);
-        else if (arg == "--closed-loop")
-            opt.closedLoop = true;
-        else if (arg == "--horizon")
-            num(opt.horizon);
-        else if (arg == "--quantum")
-            num(opt.quantum);
-        else if (arg == "--max-batch")
-            num(opt.maxBatch);
-        else if (arg == "--seed")
-            num(opt.seed);
-        else if (arg == "--chaos-seed") {
-            num(opt.chaosSeed);
-            if (opt.chaosSeed == 0)
-                usage(argv[0]);
-        } else if (arg == "--chaos-faults")
-            num(opt.chaosFaults);
-        else if (arg == "--slo")
-            opt.sloPath = next();
-        else if (arg == "--csv")
-            opt.csvPath = next();
-        else if (arg == "--json")
-            opt.jsonPath = next();
-        else if (!arg.empty() && arg[0] == '-')
-            usage(argv[0]);
-        else
-            opt.benchNames.push_back(arg);
+    static const std::pair<const char *, PolicyKind> names[] = {
+        {"leftover", PolicyKind::LeftOver},
+        {"spatial", PolicyKind::Spatial},
+        {"even", PolicyKind::Even},
+        {"dynamic", PolicyKind::Dynamic}};
+    for (const auto &[name, kind] : names)
+        if (text == name)
+            return kind;
+    if (text.rfind("fixed:", 0) != 0)
+        return std::nullopt;
+    std::vector<int> parsed;
+    for (std::size_t pos = 6;;) {
+        const std::size_t comma = text.find(',', pos);
+        const std::optional<int> q = parseNumber<int>(
+            std::string_view(text).substr(pos, comma - pos));
+        if (!q || *q < 0)
+            return std::nullopt;
+        parsed.push_back(*q);
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
     }
-    // The timeline's events live in the telemetry sampler.
-    if (!opt.timelinePath.empty() && opt.statsInterval == 0)
-        usage(argv[0]);
-    return opt;
+    if (quotas)
+        *quotas = std::move(parsed);
+    return PolicyKind::LeftOver;
 }
 
 GpuConfig
 makeConfig(const Options &opt)
 {
-    GpuConfig cfg;
-    if (!opt.preset.empty()) {
-        if (opt.preset == "baseline")
-            cfg = GpuConfig::baseline();
-        else if (opt.preset == "large")
-            cfg = GpuConfig::largeResource();
-        else if (opt.preset == "dc")
-            cfg = GpuConfig::datacenter();
-        else
-            fatal("unknown --preset '", opt.preset,
-                  "' (expected baseline, large, or dc)");
-    } else {
-        cfg = opt.large ? GpuConfig::largeResource()
-                        : GpuConfig::baseline();
-    }
+    GpuConfig cfg = opt.preset();
     cfg.scheduler = opt.sched;
     cfg.auditCadence = opt.auditCadence;
     cfg.watchdogCycles = opt.watchdogCycles;
@@ -312,24 +153,51 @@ makeConfig(const Options &opt)
     return cfg;
 }
 
+/** Write `path` (none when empty) through `write` and announce it on
+ *  stdout; failing to open or write it is fatal. */
 void
-emit(const Options &opt, const Table &table)
+writeFile(const std::string &path,
+          const std::function<void(std::ostream &)> &write,
+          const std::string &note = "")
+{
+    if (path.empty())
+        return;
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot open ", path);
+    write(os);
+    if (!os.flush())
+        fatal("cannot write ", path);
+    std::printf("(wrote %s%s)\n", path.c_str(), note.c_str());
+}
+
+/** Print `table`; --csv and --json get `data`: the table itself, or
+ *  corun's telemetry time series. */
+template <typename Data>
+void
+emit(const Options &opt, const Table &table, const Data &data)
 {
     table.writeText(std::cout);
-    if (!opt.csvPath.empty()) {
-        std::ofstream os(opt.csvPath);
-        if (!os)
-            fatal("cannot open ", opt.csvPath);
-        table.writeCsv(os);
-        std::printf("(wrote %s)\n", opt.csvPath.c_str());
-    }
-    if (!opt.jsonPath.empty()) {
-        std::ofstream os(opt.jsonPath);
-        if (!os)
-            fatal("cannot open ", opt.jsonPath);
-        table.writeJson(os);
-        std::printf("(wrote %s)\n", opt.jsonPath.c_str());
-    }
+    writeFile(opt.csvPath, [&](std::ostream &os) { data.writeCsv(os); });
+    writeFile(opt.jsonPath, [&](std::ostream &os) { data.writeJson(os); });
+}
+
+/** --prom and --manifest: `registry` as Prometheus text and inside a
+ *  manifest of the run on `cfg`. */
+void
+writeCounters(const Options &opt, const CounterRegistry &registry,
+              const GpuConfig &cfg, Cycle cycles,
+              const SnapshotInfo &restored = {})
+{
+    writeFile(opt.promPath,
+              [&](std::ostream &os) { registry.writePrometheus(os); });
+    writeFile(opt.manifestPath, [&](std::ostream &os) {
+        RunManifest m = buildRunManifest(
+            std::string("wslicer-sim ") + opt.command->name, cfg, &registry,
+            cycles);
+        m.snapshot = restored;
+        m.writeJson(os);
+    });
 }
 
 int
@@ -346,15 +214,13 @@ cmdList(const Options &opt)
                       std::to_string(k.shmPerCta),
                       std::to_string(k.maxCtasPerSm(cfg))});
     }
-    emit(opt, table);
+    emit(opt, table, table);
     return 0;
 }
 
 int
 cmdSolo(const Options &opt)
 {
-    if (opt.benchNames.size() != 1)
-        usage("wslicer-sim");
     const GpuConfig cfg = makeConfig(opt);
     const Cycle cycles = opt.cycles ? opt.cycles : defaultWindow();
     const SoloResult r = runSoloForCycles(benchmark(opt.benchNames[0]),
@@ -364,15 +230,13 @@ cmdSolo(const Options &opt)
     table.addRow({"warp_ipc", Table::num(r.warpIpc())});
     for (const auto &[name, value] : flattenStats(r.stats))
         table.addRow({name, Table::num(value)});
-    emit(opt, table);
+    emit(opt, table, table);
     return 0;
 }
 
 int
 cmdCurves(const Options &opt)
 {
-    if (opt.benchNames.size() != 1)
-        usage("wslicer-sim");
     const GpuConfig cfg = makeConfig(opt);
     const Cycle cycles =
         opt.cycles ? opt.cycles : defaultWindow() / 2;
@@ -395,62 +259,19 @@ cmdCurves(const Options &opt)
                       Table::num(ipcs[q - 1]),
                       Table::num(peak > 0 ? ipcs[q - 1] / peak : 0)});
     }
-    emit(opt, table);
+    emit(opt, table, table);
     return 0;
-}
-
-std::optional<std::vector<int>>
-parseFixedPolicy(const std::string &policy, std::size_t num_apps)
-{
-    if (policy.rfind("fixed:", 0) != 0)
-        return std::nullopt;
-    std::vector<int> quotas;
-    std::string rest = policy.substr(6);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-        const std::size_t comma = rest.find(',', pos);
-        const std::string tok =
-            rest.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        quotas.push_back(numberArg<int>(tok, "--policy fixed:"));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (quotas.size() != num_apps)
-        fatal("fixed: needs one quota per benchmark");
-    return quotas;
 }
 
 int
 cmdCorun(const Options &opt)
 {
-    if (opt.benchNames.size() < 2 || opt.benchNames.size() > 3)
-        usage("wslicer-sim");
     const GpuConfig cfg = makeConfig(opt);
     const Cycle window = opt.cycles ? opt.cycles : defaultWindow();
 
-    // Resolve the policy before characterizing, so a malformed one
-    // fails without simulating anything.
     CoRunOptions co;
     co.slicer = scaledSlicerOptions(window);
-    PolicyKind kind = PolicyKind::Dynamic;
-    if (const auto fixed =
-            parseFixedPolicy(opt.policy, opt.benchNames.size())) {
-        co.fixedQuotas = *fixed;
-        kind = PolicyKind::LeftOver;
-    } else if (opt.policy == "leftover") {
-        kind = PolicyKind::LeftOver;
-    } else if (opt.policy == "spatial") {
-        kind = PolicyKind::Spatial;
-    } else if (opt.policy == "even") {
-        kind = PolicyKind::Even;
-    } else if (opt.policy == "dynamic") {
-        kind = PolicyKind::Dynamic;
-    } else {
-        fatal("unknown policy: ", opt.policy);
-    }
+    const PolicyKind kind = *parsePolicy(opt.policy, &co.fixedQuotas);
 
     Characterization chars(cfg, window);
     chars.prewarm(opt.benchNames, opt.jobs);
@@ -544,98 +365,40 @@ cmdCorun(const Options &opt)
         table.addRow({"telemetry_intervals",
                       std::to_string(sampler.intervals().size())});
 
-        // With telemetry on, the machine-readable outputs carry the
-        // time series; the summary stays on stdout.
-        table.writeText(std::cout);
-        if (!opt.csvPath.empty()) {
-            std::ofstream os(opt.csvPath);
-            if (!os)
-                fatal("cannot open ", opt.csvPath);
-            sampler.writeCsv(os);
-            std::printf("(wrote %s)\n", opt.csvPath.c_str());
-        }
-        if (!opt.jsonPath.empty()) {
-            std::ofstream os(opt.jsonPath);
-            if (!os)
-                fatal("cannot open ", opt.jsonPath);
-            sampler.writeJson(os);
-            std::printf("(wrote %s)\n", opt.jsonPath.c_str());
-        }
-    } else {
-        emit(opt, table);
     }
+    // With telemetry on, the machine-readable outputs carry the time
+    // series; the summary stays on stdout.
+    if (sampler.enabled())
+        emit(opt, table, sampler);
+    else
+        emit(opt, table, table);
 
-    if (!opt.timelinePath.empty()) {
-        std::ofstream os(opt.timelinePath);
-        if (!os)
-            fatal("cannot open ", opt.timelinePath);
+    writeFile(opt.timelinePath, [&](std::ostream &os) {
         writeChromeTrace(os, sampler, r.makespan);
-        std::printf("(wrote %s)\n", opt.timelinePath.c_str());
-    }
-
-    if (!opt.decisionLogPath.empty()) {
-        std::ofstream os(opt.decisionLogPath);
-        if (!os)
-            fatal("cannot open ", opt.decisionLogPath);
-        decisions.writeJson(os);
-        std::printf("(wrote %s, %zu decisions)\n",
-                    opt.decisionLogPath.c_str(),
-                    decisions.entries().size());
-    }
-    if (!opt.profilePath.empty()) {
-        std::ofstream os(opt.profilePath);
-        if (!os)
-            fatal("cannot open ", opt.profilePath);
-        profiler.writeJson(os);
-        std::printf("(wrote %s)\n", opt.profilePath.c_str());
-    }
-    if (!opt.manifestPath.empty() || !opt.promPath.empty()) {
-        // The Gpu is gone; export from the stats snapshot plus the
-        // harvested profiler and process-wide harness counters.
-        CounterRegistry registry;
-        registerStatsCounters(registry, r.stats);
-        if (co.profiler)
-            profiler.registerCounters(registry);
-        registerHarnessCounters(registry);
-        if (!opt.promPath.empty()) {
-            std::ofstream os(opt.promPath);
-            if (!os)
-                fatal("cannot open ", opt.promPath);
-            registry.writePrometheus(os);
-            std::printf("(wrote %s)\n", opt.promPath.c_str());
-        }
-        if (!opt.manifestPath.empty()) {
-            std::ofstream os(opt.manifestPath);
-            if (!os)
-                fatal("cannot open ", opt.manifestPath);
-            RunManifest m = buildRunManifest("wslicer-sim corun", cfg,
-                                             &registry, r.makespan);
-            m.snapshot = restored;
-            m.writeJson(os);
-            std::printf("(wrote %s)\n", opt.manifestPath.c_str());
-        }
-    }
+    });
+    writeFile(opt.decisionLogPath,
+              [&](std::ostream &os) { decisions.writeJson(os); },
+              ", " + std::to_string(decisions.entries().size()) +
+                  " decisions");
+    writeFile(opt.profilePath,
+              [&](std::ostream &os) { profiler.writeJson(os); });
+    // The Gpu is gone; export from the stats snapshot plus the
+    // harvested profiler and process-wide harness counters.
+    CounterRegistry registry;
+    registerStatsCounters(registry, r.stats);
+    if (co.profiler)
+        profiler.registerCounters(registry);
+    registerHarnessCounters(registry);
+    writeCounters(opt, registry, cfg, r.makespan, restored);
     return 0;
 }
 
 int
 cmdServe(const Options &opt)
 {
-    if (!opt.benchNames.empty())
-        usage("wslicer-sim");
     ServeOptions so;
     so.cfg = makeConfig(opt);
-    if (opt.policy == "leftover")
-        so.kind = PolicyKind::LeftOver;
-    else if (opt.policy == "spatial")
-        so.kind = PolicyKind::Spatial;
-    else if (opt.policy == "even")
-        so.kind = PolicyKind::Even;
-    else if (opt.policy == "dynamic")
-        so.kind = PolicyKind::Dynamic;
-    else
-        fatal("serve supports leftover|spatial|even|dynamic, not ",
-              opt.policy);
+    so.kind = *parsePolicy(opt.policy);
     so.window = opt.cycles;
     so.horizon = opt.horizon;
     so.quantum = opt.quantum;
@@ -701,45 +464,18 @@ cmdServe(const Options &opt)
                   quarantined.empty() ? "none" : quarantined});
     table.addRow({"invariant_violations",
                   std::to_string(r.invariantViolations)});
-    emit(opt, table);
+    emit(opt, table, table);
 
-    if (!opt.sloPath.empty()) {
-        std::ofstream os(opt.sloPath);
-        if (!os)
-            fatal("cannot open ", opt.sloPath);
-        r.slo.writeJson(os);
-        std::printf("(wrote %s)\n", opt.sloPath.c_str());
-    }
-    if (!opt.decisionLogPath.empty()) {
-        std::ofstream os(opt.decisionLogPath);
-        if (!os)
-            fatal("cannot open ", opt.decisionLogPath);
-        decisions.writeJson(os);
-        std::printf("(wrote %s, %zu decisions)\n",
-                    opt.decisionLogPath.c_str(),
-                    decisions.entries().size());
-    }
-    if (!opt.manifestPath.empty() || !opt.promPath.empty()) {
-        CounterRegistry registry;
-        r.slo.registerCounters(registry);
-        registerHarnessCounters(registry);
-        if (!opt.promPath.empty()) {
-            std::ofstream os(opt.promPath);
-            if (!os)
-                fatal("cannot open ", opt.promPath);
-            registry.writePrometheus(os);
-            std::printf("(wrote %s)\n", opt.promPath.c_str());
-        }
-        if (!opt.manifestPath.empty()) {
-            std::ofstream os(opt.manifestPath);
-            if (!os)
-                fatal("cannot open ", opt.manifestPath);
-            RunManifest m = buildRunManifest(
-                "wslicer-sim serve", so.cfg, &registry, r.endCycle);
-            m.writeJson(os);
-            std::printf("(wrote %s)\n", opt.manifestPath.c_str());
-        }
-    }
+    writeFile(opt.sloPath,
+              [&](std::ostream &os) { r.slo.writeJson(os); });
+    writeFile(opt.decisionLogPath,
+              [&](std::ostream &os) { decisions.writeJson(os); },
+              ", " + std::to_string(decisions.entries().size()) +
+                  " decisions");
+    CounterRegistry registry;
+    r.slo.registerCounters(registry);
+    registerHarnessCounters(registry);
+    writeCounters(opt, registry, so.cfg, r.endCycle);
     // The chaos gate: injected faults must be survived gracefully;
     // an *organic* invariant violation is a real engine bug.
     return r.invariantViolations == 0 ? 0 : 1;
@@ -748,8 +484,6 @@ cmdServe(const Options &opt)
 int
 cmdCombos(const Options &opt)
 {
-    if (opt.benchNames.size() != 2)
-        usage("wslicer-sim");
     const GpuConfig cfg = makeConfig(opt);
     const Cycle window = opt.cycles ? opt.cycles : defaultWindow() / 2;
     Characterization chars(cfg, window);
@@ -792,7 +526,7 @@ cmdCombos(const Options &opt)
                       Table::num(r.sysIpc),
                       Table::num(r.sysIpc / base.sysIpc)});
     }
-    emit(opt, table);
+    emit(opt, table, table);
     if (failed != 0) {
         std::fprintf(stderr, "%u of %zu combos failed\n", failed,
                      combos.size());
@@ -801,28 +535,158 @@ cmdCombos(const Options &opt)
     return 0;
 }
 
+const Command commands[] = {
+    {"list", "", 0, 0, cmdList},
+    {"solo", " BENCH", 1, 1, cmdSolo},
+    {"curves", " BENCH", 1, 1, cmdCurves},
+    {"corun", " B1 B2 [B3]", 2, 3, cmdCorun},
+    {"combos", " B1 B2", 2, 2, cmdCombos},
+    {"serve", "", 0, 0, cmdServe},
+};
+
+/** Flag::commands bits, in the order of `commands`. */
+enum : unsigned { List = 1, Solo = 2, Curves = 4, Corun = 8, Combos = 16,
+                  Serve = 32, Every = 63, Simulating = Every & ~List };
+
+const std::vector<Flag<Options>> flags = {
+    {"--cycles", number(&Options::cycles, "N"),
+     "cycles to run (default: WSL_WINDOW; curves: half)", Solo | Curves},
+    {"--window", number(&Options::cycles, "N"),
+     "characterization window (default: WSL_WINDOW; combos: half)",
+     Corun | Combos | Serve},
+    {"--ctas", number(&Options::ctas, "Q", 1),
+     "CTAs per SM (default: as many as fit)", Solo},
+    {"--preset",
+     choice(&Options::preset, {{"baseline", &GpuConfig::baseline},
+                               {"large", &GpuConfig::largeResource},
+                               {"dc", &GpuConfig::datacenter}}),
+     "machine (dc: 128 SMs, 32 partitions; not a paper machine)", Every},
+    {"--sched",
+     choice(&Options::sched,
+            {{"gto", SchedulerKind::Gto}, {"lrr", SchedulerKind::Lrr}}),
+     "warp scheduler", Simulating},
+    {"--policy",
+     {"leftover|spatial|even|dynamic|fixed:Q1,Q2[,Q3]",
+      [](Options &o, const std::string &text) {
+          o.policy = text;
+          return parsePolicy(text).has_value();
+      }},
+     "slicing policy (default dynamic; fixed: corun only)", Corun | Serve},
+    {"--jobs",
+     {"N",
+      [](Options &o, const std::string &text) {
+          if (!parseNumber<unsigned>(text))
+              return false;
+          o.jobs = parseJobs(text.c_str(), "--jobs");  // 0: all threads
+          return true;
+      }},
+     "worker threads, 0 = all (default: WSL_JOBS or 1)",
+     Curves | Corun | Combos},
+    {"--audit", number(&Options::auditCadence, "N", 1),
+     "integrity audits every N cycles (bare: 10000)", Simulating, nullptr,
+     nullptr, "10000"},
+    {"--watchdog-cycles", number(&Options::watchdogCycles, "N", 1),
+     "deadlock report after N cycles without progress", Simulating},
+    {"--csv", text(&Options::csvPath),
+     "write the table (corun --stats-interval: time series) as CSV", Every},
+    {"--json", text(&Options::jsonPath), "write it as JSON", Every},
+    {"--stats-interval", number(&Options::statsInterval, "N", 1),
+     "sample interval telemetry every N cycles", Corun},
+    {"--timeline", text(&Options::timelinePath),
+     "write the sampler's events as a Chrome trace", Corun,
+     "--stats-interval"},
+    {"--profile", text(&Options::profilePath),
+     "write the engine self-profile", Corun},
+    {"--decision-log", text(&Options::decisionLogPath),
+     "write the Dynamic policy's decisions", Corun | Serve},
+    {"--manifest", text(&Options::manifestPath), "write a run manifest",
+     Corun | Serve},
+    {"--prom", text(&Options::promPath),
+     "write the counters as Prometheus text", Corun | Serve},
+    {"--snapshot", text(&Options::snapshotPath), "write checkpoints",
+     Corun},
+    {"--snapshot-at", number(&Options::snapshotAt, "N", 1),
+     "capture cycle (default: window / 2)", Corun, "--snapshot",
+     "--checkpoint-every"},
+    {"--checkpoint-every", number(&Options::checkpointEvery, "N", 1),
+     "checkpoint every N cycles", Corun, "--snapshot"},
+    {"--restore", text(&Options::restorePath),
+     "resume a checkpoint, bit-identical to an unbroken run", Corun},
+    {"--rate", number(&Options::rate, "R", 0.0),
+     "arrivals per 10k cycles (default 1)", Serve, nullptr,
+     "--closed-loop"},
+    {"--closed-loop", toggle(&Options::closedLoop),
+     "closed-loop arrivals, not open-loop Poisson", Serve},
+    {"--horizon", number(&Options::horizon, "N"),
+     "arrival horizon (default: 6 windows)", Serve},
+    {"--quantum", number(&Options::quantum, "N"),
+     "dispatch quantum (default: window / 4)", Serve},
+    {"--max-batch", number(&Options::maxBatch, "K", 1, maxConcurrentKernels),
+     "jobs resident at once, at most 4 (default 3)", Serve},
+    {"--seed", number(&Options::seed, "N"), "arrival seed (default 1)",
+     Serve},
+    {"--chaos-seed", number(&Options::chaosSeed, "N", 1),
+     "seeded fault injection", Serve},
+    {"--chaos-faults", number(&Options::chaosFaults, "N", 1),
+     "faults to inject (default 6)", Serve, "--chaos-seed"},
+    {"--slo", text(&Options::sloPath), "write the per-class SLO report",
+     Serve},
+};
+
+/** Print why (when given) and the usage text, and exit 2. */
+[[noreturn]] void
+usage(const std::string &why = "")
+{
+    if (!why.empty())
+        std::fprintf(stderr, "wslicer-sim: %s\n", why.c_str());
+    std::string synopsis;
+    std::vector<std::string> names;
+    for (const Command &c : commands) {
+        synopsis += (names.empty() ? "" : " | ") + std::string(c.name) +
+                    c.args;
+        names.push_back(c.name);
+    }
+    std::fprintf(stderr, "usage: wslicer-sim %s [flags]\n",
+                 synopsis.c_str());
+    printFlags(flags, names);
+    std::exit(2);
+}
+
+Options
+parseArgs(int argc, char **argv)
+{
+    Options opt;
+    for (const Command &c : commands)
+        if (argc > 1 && std::string_view(argv[1]) == c.name)
+            opt.command = &c;
+    if (!opt.command)
+        usage();
+    const unsigned bit = 1u << (opt.command - commands);
+    const auto benches =
+        parseFlags(flags, opt, "wslicer-sim", bit, 2, argc, argv);
+    if (!benches)
+        usage();
+    if (benches->size() < opt.command->minBenches ||
+        benches->size() > opt.command->maxBenches)
+        usage(std::string("wrong number of benchmarks for ") +
+              opt.command->name);
+    opt.benchNames = *benches;
+    std::vector<int> quotas;
+    parsePolicy(opt.policy, &quotas);
+    if (!quotas.empty() &&
+        (bit != Corun || quotas.size() != opt.benchNames.size()))
+        usage("--policy fixed: needs one quota per corun benchmark");
+    return opt;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
-    int rc = 2;
     try {
-        if (opt.command == "list")
-            rc = cmdList(opt);
-        else if (opt.command == "solo")
-            rc = cmdSolo(opt);
-        else if (opt.command == "curves")
-            rc = cmdCurves(opt);
-        else if (opt.command == "corun")
-            rc = cmdCorun(opt);
-        else if (opt.command == "combos")
-            rc = cmdCombos(opt);
-        else if (opt.command == "serve")
-            rc = cmdServe(opt);
-        else
-            usage(argv[0]);
+        return opt.command->run(opt);
     } catch (const SimError &e) {
         // The process boundary for recoverable simulator errors:
         // report with the error's kind and exit non-zero instead of
@@ -833,5 +697,4 @@ main(int argc, char **argv)
             std::fputs(dl->report().c_str(), stderr);
         return 1;
     }
-    return rc;
 }
