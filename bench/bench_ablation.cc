@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 
 using namespace wsl;
@@ -24,27 +25,6 @@ const std::vector<WorkloadPair> kSubset = {
     {"HOT", "BLK", "Compute+Memory"}, {"MM", "LBM", "Compute+Memory"},
     {"HOT", "IMG", "Compute+Compute"}, {"MM", "DXT", "Compute+Compute"},
 };
-
-double
-gmeanOver(const GpuConfig &cfg, Characterization &chars,
-          const WarpedSlicerOptions &slicer)
-{
-    std::vector<double> vals;
-    for (const WorkloadPair &pair : kSubset) {
-        const std::vector<KernelParams> apps = {benchmark(pair.first),
-                                                benchmark(pair.second)};
-        const std::vector<std::uint64_t> targets = {
-            chars.target(pair.first), chars.target(pair.second)};
-        const CoRunResult left =
-            runCoSchedule(apps, targets, PolicyKind::LeftOver, cfg);
-        CoRunOptions opts;
-        opts.slicer = slicer;
-        const CoRunResult r = runCoSchedule(
-            apps, targets, PolicyKind::Dynamic, cfg, opts);
-        vals.push_back(r.sysIpc / left.sysIpc);
-    }
-    return geomean(vals);
-}
 
 } // namespace
 
@@ -104,14 +84,40 @@ main()
         variants.push_back({"quarter-length profile", o});
     }
 
-    double ref = 0.0;
+    // One batch on WSL_JOBS workers: each pair's Left-Over run once,
+    // then every variant's Dynamic runs.
+    std::vector<CoRunJob> batch;
+    for (const WorkloadPair &pair : kSubset) {
+        CoRunJob job;
+        job.apps = {pair.first, pair.second};
+        batch.push_back(job);
+    }
     for (const Variant &v : variants) {
-        const double g = gmeanOver(cfg, chars, v.opts);
+        for (const WorkloadPair &pair : kSubset) {
+            CoRunJob job;
+            job.apps = {pair.first, pair.second};
+            job.kind = PolicyKind::Dynamic;
+            job.opts.slicer = v.opts;
+            batch.push_back(job);
+        }
+    }
+    const std::vector<CoRunResult> results =
+        runCoScheduleBatch(chars, batch, defaultJobs());
+    if (reportFailedJobs(results))
+        return 1;
+
+    const std::size_t n = kSubset.size();
+    double ref = 0.0;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        std::vector<double> vals;
+        for (std::size_t p = 0; p < n; ++p)
+            vals.push_back(results[n + v * n + p].sysIpc /
+                           results[p].sysIpc);
+        const double g = geomean(vals);
         if (ref == 0.0)
             ref = g;
-        std::printf("  %-28s %6.3f (%+.1f%% vs full)\n", v.name, g,
-                    100.0 * (g - ref) / ref);
-        std::fflush(stdout);
+        std::printf("  %-28s %6.3f (%+.1f%% vs full)\n", variants[v].name,
+                    g, 100.0 * (g - ref) / ref);
     }
     return 0;
 }

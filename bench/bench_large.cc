@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 
 using namespace wsl;
@@ -25,22 +26,34 @@ main()
     std::printf("%-18s %8s %8s %8s %9s\n", "Pair", "Spatial", "Even",
                 "Dynamic", "Fairness");
 
+    // Every pair under the four policies, as one batch on WSL_JOBS
+    // workers against the large machine's characterization.
+    const std::vector<WorkloadPair> pairs = evaluationPairs();
+    std::vector<CoRunJob> batch;
+    for (const WorkloadPair &pair : pairs) {
+        for (PolicyKind kind :
+             {PolicyKind::LeftOver, PolicyKind::Spatial, PolicyKind::Even,
+              PolicyKind::Dynamic}) {
+            CoRunJob job;
+            job.apps = {pair.first, pair.second};
+            job.kind = kind;
+            if (kind == PolicyKind::Dynamic)
+                job.opts.slicer = scaledSlicerOptions(window);
+            batch.push_back(job);
+        }
+    }
+    std::vector<CoRunResult> results =
+        runCoScheduleBatch(chars, batch, defaultJobs());
+    if (reportFailedJobs(results))
+        return 1;
+
     std::vector<double> sp, ev, dy, fair_dyn, fair_lo;
-    for (const WorkloadPair &pair : evaluationPairs()) {
-        const std::vector<KernelParams> apps = {benchmark(pair.first),
-                                                benchmark(pair.second)};
-        const std::vector<std::uint64_t> targets = {
-            chars.target(pair.first), chars.target(pair.second)};
-        CoRunResult left =
-            runCoSchedule(apps, targets, PolicyKind::LeftOver, cfg);
-        const CoRunResult spatial =
-            runCoSchedule(apps, targets, PolicyKind::Spatial, cfg);
-        const CoRunResult even =
-            runCoSchedule(apps, targets, PolicyKind::Even, cfg);
-        CoRunOptions opts;
-        opts.slicer = scaledSlicerOptions(window);
-        CoRunResult dynamic = runCoSchedule(
-            apps, targets, PolicyKind::Dynamic, cfg, opts);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        const WorkloadPair &pair = pairs[p];
+        CoRunResult &left = results[4 * p];
+        const CoRunResult &spatial = results[4 * p + 1];
+        const CoRunResult &even = results[4 * p + 2];
+        CoRunResult &dynamic = results[4 * p + 3];
 
         sp.push_back(spatial.sysIpc / left.sysIpc);
         ev.push_back(even.sysIpc / left.sysIpc);
@@ -56,7 +69,6 @@ main()
                     (pair.first + "_" + pair.second).c_str(),
                     sp.back(), ev.back(), dy.back(),
                     fair_dyn.back() / fair_lo.back());
-        std::fflush(stdout);
     }
     std::printf("\n%-18s %8.3f %8.3f %8.3f %9.3f\n", "GMEAN",
                 geomean(sp), geomean(ev), geomean(dy),

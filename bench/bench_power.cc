@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "power/power_model.hh"
 
@@ -26,28 +27,36 @@ main()
     std::printf("%-18s %10s %10s %10s %10s\n", "Pair", "LO dynW",
                 "Dyn dynW", "LO E(mJ)", "Dyn E(mJ)");
 
-    std::vector<double> power_ratio, energy_ratio;
-    for (const WorkloadPair &pair : evaluationPairs()) {
-        const std::vector<KernelParams> apps = {benchmark(pair.first),
-                                                benchmark(pair.second)};
-        const std::vector<std::uint64_t> targets = {
-            chars.target(pair.first), chars.target(pair.second)};
-        const CoRunResult left =
-            runCoSchedule(apps, targets, PolicyKind::LeftOver, cfg);
-        CoRunOptions opts;
-        opts.slicer = scaledSlicerOptions(window);
-        const CoRunResult dynamic = runCoSchedule(
-            apps, targets, PolicyKind::Dynamic, cfg, opts);
+    // Left-Over then Dynamic for each pair, as one batch on WSL_JOBS
+    // workers.
+    const std::vector<WorkloadPair> pairs = evaluationPairs();
+    std::vector<CoRunJob> batch;
+    for (const WorkloadPair &pair : pairs) {
+        for (PolicyKind kind : {PolicyKind::LeftOver, PolicyKind::Dynamic}) {
+            CoRunJob job;
+            job.apps = {pair.first, pair.second};
+            job.kind = kind;
+            if (kind == PolicyKind::Dynamic)
+                job.opts.slicer = scaledSlicerOptions(window);
+            batch.push_back(job);
+        }
+    }
+    const std::vector<CoRunResult> results =
+        runCoScheduleBatch(chars, batch, defaultJobs());
+    if (reportFailedJobs(results))
+        return 1;
 
-        const PowerReport lo = computePower(left.stats);
-        const PowerReport dy = computePower(dynamic.stats);
+    std::vector<double> power_ratio, energy_ratio;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        const WorkloadPair &pair = pairs[p];
+        const PowerReport lo = computePower(results[2 * p].stats);
+        const PowerReport dy = computePower(results[2 * p + 1].stats);
         power_ratio.push_back(dy.dynamicPowerW / lo.dynamicPowerW);
         energy_ratio.push_back(dy.totalEnergyJ / lo.totalEnergyJ);
         std::printf("%-18s %10.1f %10.1f %10.3f %10.3f\n",
                     (pair.first + "_" + pair.second).c_str(),
                     lo.dynamicPowerW, dy.dynamicPowerW,
                     lo.totalEnergyJ * 1e3, dy.totalEnergyJ * 1e3);
-        std::fflush(stdout);
     }
 
     const double p = geomean(power_ratio);

@@ -4,7 +4,7 @@
  * runs the full 30-pair x 4-policy evaluation matrix three ways —
  * serially, on `--jobs` worker threads, and serially with the full
  * observability layer attached (engine profiler on every job, decision
- * log on the Dynamic jobs, registry exporters exercised afterwards) —
+ * log on the Dynamic jobs, counter writers exercised afterwards) —
  * verifies the three result sets are bit-identical, and reports the
  * thread speedup. This is the gate that lets batch parallelism claim
  * "pure performance toggle" and the observability layer "pure
@@ -13,7 +13,7 @@
  * Usage: bench_sweep [--quick] [--jobs N] [--out FILE]
  *   --quick   evaluate only the first 6 pairs (CI-sized)
  *   --jobs N  worker threads for the parallel passes (default WSL_JOBS,
- *             0 = all hardware threads)
+ *             0 = all hardware threads); a malformed N exits 2
  *   --out F   write the JSON report to F; without it no file is
  *             written (exit 1 if F cannot be written)
  *
@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,9 +35,9 @@
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/solo_cache.hh"
+#include "obs/counters.hh"
 #include "obs/decision_log.hh"
 #include "obs/engine_profiler.hh"
-#include "obs/registry.hh"
 
 using namespace wsl;
 
@@ -93,11 +94,13 @@ main(int argc, char **argv)
     unsigned jobs = defaultJobs();
     std::string out_path;
     for (int i = 1; i < argc; ++i) {
+        std::optional<unsigned> flag_jobs;
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                   i + 1 < argc) {
-            jobs = parseJobs(argv[++i], "--jobs");
+        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc &&
+                   (flag_jobs = parseJobCount(argv[i + 1]))) {
+            jobs = *flag_jobs;
+            ++i;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else {
@@ -156,17 +159,17 @@ main(int argc, char **argv)
         timedRun(chars, observed_batch, 1, observed);
     std::printf("observed serial:   %7.2fs (1 thread, profiler + "
                 "decision log)\n", t_observed);
-    // Pull-model registry: sampling happens only here, at export.
+    // Exercise the counter writers on the first observed job.
     {
-        CounterRegistry registry;
-        registerStatsCounters(registry, observed.empty()
-                                            ? GpuStats{}
-                                            : observed.front().stats);
+        std::vector<MetricSample> counters;
+        appendStatsCounters(counters, observed.empty()
+                                          ? GpuStats{}
+                                          : observed.front().stats);
         if (!profilers.empty())
-            profilers.front().registerCounters(registry);
-        registerHarnessCounters(registry);
+            profilers.front().appendCounters(counters);
+        appendHarnessCounters(counters);
         std::ostringstream sink;
-        registry.writePrometheus(sink);
+        writePrometheus(sink, counters);
     }
 
     // All three passes must agree byte for byte: batch parallelism

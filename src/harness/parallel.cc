@@ -1,11 +1,9 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -13,38 +11,33 @@
 
 namespace wsl {
 
+std::optional<unsigned>
+parseJobCount(std::string_view text)
+{
+    // from_chars takes no sign or whitespace for an unsigned type.
+    unsigned v = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc{} || end != last)
+        return std::nullopt;
+    if (v == 0) {
+        // 0 = "use every core".
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw ? hw : 1u;
+    }
+    return v;
+}
+
 unsigned
 parseJobs(const char *text, const char *what)
 {
     constexpr unsigned serial = 1;
     if (!text || !*text)
         return serial;
-    // Parse strictly, mirroring defaultWindow(): a decimal count and
-    // nothing else. strtoul skips whitespace and wraps negative input,
-    // so require the first character to already be a digit.
-    if (!std::isdigit(static_cast<unsigned char>(*text))) {
-        warn(what, "='", text, "' must be a thread count; ",
-             "running serially");
-        return serial;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        warn(what, "='", text, "' is not a number; running serially");
-        return serial;
-    }
-    if (errno == ERANGE ||
-        v > std::numeric_limits<unsigned>::max()) {
-        warn(what, "='", text, "' overflows; running serially");
-        return serial;
-    }
-    if (v == 0) {
-        // 0 = "use every core".
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw ? hw : serial;
-    }
-    return static_cast<unsigned>(v);
+    if (const std::optional<unsigned> jobs = parseJobCount(text))
+        return *jobs;
+    warn(what, "='", text, "' is not a thread count; running serially");
+    return serial;
 }
 
 unsigned

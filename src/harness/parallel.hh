@@ -15,16 +15,25 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace wsl {
 
 /**
- * Parse a worker-thread count following the defaultWindow() hardening
- * rules: a strict decimal number, where 0 selects the hardware
- * concurrency and anything malformed or overflowing warns and falls
- * back to serial (1). `what` names the source ("--jobs", "WSL_JOBS")
- * in warnings. A null/empty `text` silently means serial.
+ * Read a worker-thread count strictly, as the tools' --jobs flags do:
+ * a decimal count and nothing else, where 0 selects the hardware
+ * concurrency. Anything malformed or overflowing yields nothing, for
+ * the caller to refuse.
+ */
+std::optional<unsigned> parseJobCount(std::string_view text);
+
+/**
+ * Parse a worker-thread count by parseJobCount's rule, but warn and
+ * fall back to serial (1) on anything it refuses. `what` names the
+ * source ("WSL_JOBS") in the warning. A null/empty `text` silently
+ * means serial.
  */
 unsigned parseJobs(const char *text, const char *what);
 

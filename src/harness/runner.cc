@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -407,6 +408,21 @@ runCoScheduleBatch(Characterization &chars,
             g_batch_failures.fetch_add(1, std::memory_order_relaxed);
             return failed;
         });
+}
+
+std::size_t
+reportFailedJobs(const std::vector<CoRunResult> &results)
+{
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const JobError &e = results[i].error;
+        if (!e.failed)
+            continue;
+        ++failed;
+        std::fprintf(stderr, "job %zu failed (%s): %s\n", i,
+                     e.kind.c_str(), e.message.c_str());
+    }
+    return failed;
 }
 
 std::uint64_t

@@ -141,8 +141,8 @@ struct JobError
     std::string message;
 };
 
-/** Process-wide runCoScheduleBatch telemetry, fed to the counter
- *  registry by registerHarnessCounters. Monotonic across all batches
+/** Process-wide runCoScheduleBatch telemetry, appended to a run's
+ *  counters by appendHarnessCounters. Monotonic across all batches
  *  this process ran. */
 std::uint64_t batchJobsRun();
 std::uint64_t batchJobsFailed();
@@ -240,6 +240,14 @@ struct CoRunJob
 std::vector<CoRunResult> runCoScheduleBatch(
     Characterization &chars, const std::vector<CoRunJob> &batch,
     unsigned jobs);
+
+/**
+ * Print each failed job of a runCoScheduleBatch result to stderr, with
+ * its index, kind and message, and return how many failed. A bench
+ * exits non-zero on any, rather than fold a failed job's zeroed
+ * result into its ratios.
+ */
+std::size_t reportFailedJobs(const std::vector<CoRunResult> &results);
 
 /**
  * Enumerate feasible CTA-quota combinations (each kernel >= 1 CTA, all

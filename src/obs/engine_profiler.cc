@@ -1,9 +1,8 @@
 #include "obs/engine_profiler.hh"
 
+#include "check/auditor.hh"
 #include "gpu/gpu.hh"
-#include "harness/solo_cache.hh"
-#include "obs/json.hh"
-#include "obs/registry.hh"
+#include "obs/counters.hh"
 
 namespace wsl {
 
@@ -29,57 +28,38 @@ EngineProfiler::harvest(const Gpu &gpu)
         memoHits += gpu.sm(s).scanMemoHits();
         schedScans += gpu.sm(s).schedulerScans();
     }
-    soloHits = SoloCache::global().hits();
-    soloMisses = SoloCache::global().misses();
+    routed = gpu.interconnect().routedRequests();
+    delivered = gpu.interconnect().deliveredResponses();
+    const Auditor *auditor = gpu.integrityAuditor();
+    audits = auditor ? auditor->auditsRun() : 0;
 }
 
 void
-EngineProfiler::writeJson(std::ostream &os) const
+EngineProfiler::appendCounters(std::vector<MetricSample> &out) const
 {
-    JsonValue root = JsonValue::makeObject();
-    root.set("schema", JsonValue::makeString("wslicer-profile-v3"));
-
-    JsonValue phases = JsonValue::makeObject();
     for (unsigned p = 0;
          p < static_cast<unsigned>(EpochPhase::NumPhases); ++p)
-        phases.set(epochPhaseName(static_cast<EpochPhase>(p)),
-                   JsonValue::makeNumber(
-                       static_cast<double>(phaseNsAcc[p])));
-    root.set("phase_ns", std::move(phases));
-    root.set("ticks", JsonValue::makeNumber(
-                          static_cast<double>(tickCount)));
-
-    root.set("scan_memo_hits",
-             JsonValue::makeNumber(static_cast<double>(memoHits)));
-    root.set("scheduler_scans",
-             JsonValue::makeNumber(static_cast<double>(schedScans)));
-    root.set("solo_cache_hits",
-             JsonValue::makeNumber(static_cast<double>(soloHits)));
-    root.set("solo_cache_misses",
-             JsonValue::makeNumber(static_cast<double>(soloMisses)));
-    root.write(os);
-    os << '\n';
-}
-
-void
-EngineProfiler::registerCounters(CounterRegistry &registry) const
-{
-    registry.addProvider([this](std::vector<MetricSample> &out) {
-        for (unsigned p = 0;
-             p < static_cast<unsigned>(EpochPhase::NumPhases); ++p)
-            out.push_back(
-                {"wsl_engine_phase_ns",
-                 {{"phase",
-                   epochPhaseName(static_cast<EpochPhase>(p))}},
-                 static_cast<double>(phaseNsAcc[p]),
-                 "counter",
-                 "wall-clock nanoseconds per tick phase"});
-        out.push_back({"wsl_engine_ticks",
-                       {},
-                       static_cast<double>(tickCount),
+        out.push_back({"wsl_engine_phase_ns",
+                       {{"phase",
+                         epochPhaseName(static_cast<EpochPhase>(p))}},
+                       static_cast<double>(phaseNsAcc[p]),
                        "counter",
-                       "ticks executed"});
-    });
+                       "wall-clock nanoseconds per tick phase"});
+    const auto add = [&](const char *name, std::uint64_t value,
+                         const char *help) {
+        out.push_back(
+            {name, {}, static_cast<double>(value), "counter", help});
+    };
+    add("wsl_engine_ticks", tickCount, "ticks executed");
+    add("wsl_engine_sched_scans", schedScans,
+        "full warp-scheduler issue scans");
+    add("wsl_engine_scan_memo_hits", memoHits,
+        "scheduler scans replayed from the memo");
+    add("wsl_engine_audits", audits, "invariant audits executed");
+    add("wsl_icnt_routed_requests", routed,
+        "requests accepted into partition queues");
+    add("wsl_icnt_delivered_responses", delivered,
+        "responses handed back to SMs");
 }
 
 } // namespace wsl

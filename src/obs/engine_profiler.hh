@@ -3,8 +3,8 @@
  * Engine self-profiler: where does the *simulator's* wall-clock time
  * go? It wall-clock-times each of the four tick phases (SM compute,
  * request merge, partition compute, response delivery), counts ticks,
- * and — at harvest — folds in the schedulers' scan-vs-memo split and
- * the solo cache's hit rate.
+ * and — at harvest — folds in the schedulers' scan-vs-memo split, the
+ * interconnect's routed and delivered totals and the audit count.
  *
  * Guarantee: the profiler only *observes*. It accumulates wall-clock
  * durations and event counts; nothing it records ever feeds back into
@@ -20,12 +20,12 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <ostream>
+#include <vector>
 
 namespace wsl {
 
-class CounterRegistry;
 class Gpu;
+struct MetricSample;
 
 /** The four phases of one Gpu::tick() (two compute phases, each
  *  followed by an ordered interconnect transfer). */
@@ -84,10 +84,10 @@ class EngineProfiler
     // ---- Harvest & export ----
 
     /**
-     * Pull the cross-component engine counters out of a finished (or
-     * paused) machine: scheduler scan/memo split, solo-cache hits.
-     * Call before the Gpu is destroyed; safe to call repeatedly
-     * (overwrites, no accumulation).
+     * Pull the cross-component counters out of a finished (or paused)
+     * machine: scheduler scan/memo split, interconnect routed and
+     * delivered totals, audit count. Call before the Gpu is destroyed;
+     * safe to call repeatedly (overwrites, no accumulation).
      */
     void harvest(const Gpu &gpu);
 
@@ -106,12 +106,10 @@ class EngineProfiler
     std::uint64_t skippedCycles() const { return 0; }
     std::uint64_t capCount(HorizonCap) const { return 0; }
 
-    /** Full profile as one JSON object. */
-    void writeJson(std::ostream &os) const;
-
-    /** Expose every profiler counter through a registry (wsl_engine_*
-     *  families). The profiler must outlive the registry's exports. */
-    void registerCounters(CounterRegistry &registry) const;
+    /** Append the profile: phase times, ticks, scans, scan-memo hits
+     *  and audits as wsl_engine_* counters, then the interconnect
+     *  totals as wsl_icnt_* counters. */
+    void appendCounters(std::vector<MetricSample> &out) const;
 
   private:
     std::array<std::uint64_t,
@@ -122,8 +120,9 @@ class EngineProfiler
     // Harvested (see harvest()).
     std::uint64_t memoHits = 0;
     std::uint64_t schedScans = 0;
-    std::uint64_t soloHits = 0;
-    std::uint64_t soloMisses = 0;
+    std::uint64_t routed = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t audits = 0;
 };
 
 } // namespace wsl

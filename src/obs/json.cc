@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 namespace wsl {
@@ -418,6 +419,23 @@ parseJson(std::string_view text, JsonValue &out, std::string &error)
     p.skipSpace();
     if (p.pos != text.size()) {
         error = "trailing garbage at byte " + std::to_string(p.pos);
+        return false;
+    }
+    return true;
+}
+
+bool
+loadJsonFile(const std::string &path, JsonValue &out, std::string &error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        error = "cannot open '" + path + "'";
+        return false;
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    if (!parseJson(buffer.str(), out, error)) {
+        error = "'" + path + "': " + error;
         return false;
     }
     return true;

@@ -93,6 +93,11 @@ class JsonValue
 bool parseJson(std::string_view text, JsonValue &out,
                std::string &error);
 
+/** Read and parse the JSON file at `path`; false, with `error` naming
+ *  the file, when it cannot be opened or does not parse. */
+bool loadJsonFile(const std::string &path, JsonValue &out,
+                  std::string &error);
+
 /** Escape a string for embedding in JSON output ('"' not included). */
 std::string jsonEscaped(std::string_view s);
 

@@ -4,7 +4,6 @@
 
 #include "harness/solo_cache.hh"
 #include "obs/json.hh"
-#include "obs/registry.hh"
 
 namespace wsl {
 
@@ -43,6 +42,10 @@ RunManifest::writeJson(std::ostream &os) const
                  JsonValue::makeString(snapshot.machineFingerprint));
         root.set("snapshot", std::move(snap));
     }
+    JsonValue names = JsonValue::makeArray();
+    for (const std::string &file : files)
+        names.append(JsonValue::makeString(file));
+    root.set("files", std::move(names));
     JsonValue dump = JsonValue::makeObject();
     for (const auto &[name, value] : counters)
         dump.set(name, JsonValue::makeNumber(value));
@@ -53,7 +56,7 @@ RunManifest::writeJson(std::ostream &os) const
 
 RunManifest
 buildRunManifest(std::string tool, const GpuConfig &cfg,
-                 const CounterRegistry *registry,
+                 const std::vector<MetricSample> &counters,
                  Cycle simulated_cycles)
 {
     RunManifest m;
@@ -62,13 +65,11 @@ buildRunManifest(std::string tool, const GpuConfig &cfg,
     m.hardwareThreads = std::thread::hardware_concurrency();
     m.configFingerprint = configFingerprint(cfg);
     m.simulatedCycles = simulated_cycles;
-    if (registry) {
-        for (const MetricSample &s : registry->collect()) {
-            std::string key = s.name;
-            for (const auto &[label, value] : s.labels)
-                key += "." + label + "." + value;
-            m.counters.emplace_back(std::move(key), s.value);
-        }
+    for (const MetricSample &s : counters) {
+        std::string key = s.name;
+        for (const auto &[label, value] : s.labels)
+            key += "." + label + "." + value;
+        m.counters.emplace_back(std::move(key), s.value);
     }
     return m;
 }

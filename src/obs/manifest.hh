@@ -6,9 +6,11 @@
  * compared multi-thread runs against them. A manifest pins down what
  * produced the numbers: tool name, git describe of the build,
  * hardware_threads of the recording host, the full config
- * fingerprint, and a flat counter dump. `wslicer-report check`
- * validates one; `wslicer-report diff` compares two and knows (via
- * hardware_threads) which keys are not comparable across hosts.
+ * fingerprint, a flat counter dump, and the names of the other files
+ * in the run bundle it heads (`wslicer-sim --obs DIR`).
+ * `wslicer-report check` validates a bundle; `wslicer-report diff`
+ * compares two manifests and knows (via hardware_threads) which keys
+ * are not comparable across hosts.
  */
 
 #ifndef WSL_OBS_MANIFEST_HH
@@ -20,12 +22,12 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/counters.hh"
 #include "snapshot/format.hh"
 
 namespace wsl {
 
 struct GpuConfig;
-class CounterRegistry;
 
 /** Version string of the build ("git describe --always --dirty" at
  *  configure time; "unknown" outside a git checkout). */
@@ -34,7 +36,7 @@ std::string gitDescribeString();
 /** See file comment. */
 struct RunManifest
 {
-    static constexpr const char *schema = "wslicer-manifest-v1";
+    static constexpr const char *schema = "wslicer-manifest-v2";
 
     std::string tool;         //!< e.g. "wslicer-sim corun"
     std::string gitDescribe;
@@ -49,7 +51,10 @@ struct RunManifest
      * manifests are unchanged.
      */
     SnapshotInfo snapshot;
-    /** Flat name -> value counter dump (registry snapshot). */
+    /** The bundle's other files, in the order they were written. */
+    std::vector<std::string> files;
+    /** Flat name -> value counter dump; labels fold into the name as
+     *  ".label.value". */
     std::vector<std::pair<std::string, double>> counters;
 
     void writeJson(std::ostream &os) const;
@@ -57,11 +62,11 @@ struct RunManifest
 
 /**
  * Assemble a manifest for the current process: fills gitDescribe and
- * hardwareThreads, fingerprints `cfg`, and snapshots `registry` into
- * the counter dump (pass nullptr for no counters).
+ * hardwareThreads, fingerprints `cfg`, and copies `counters` into the
+ * counter dump.
  */
 RunManifest buildRunManifest(std::string tool, const GpuConfig &cfg,
-                             const CounterRegistry *registry = nullptr,
+                             const std::vector<MetricSample> &counters = {},
                              Cycle simulated_cycles = 0);
 
 } // namespace wsl

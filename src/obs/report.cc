@@ -1,10 +1,14 @@
 #include "obs/report.hh"
 
 #include <algorithm>
+#include <filesystem>
 #include <iomanip>
 #include <map>
+#include <set>
+#include <sstream>
 
 #include "obs/json.hh"
+#include "obs/manifest.hh"
 
 namespace wsl {
 
@@ -16,7 +20,7 @@ checkManifest(const JsonValue &doc, std::string &error)
         return false;
     }
     const std::string schema = doc.stringOr("schema", "");
-    if (schema != "wslicer-manifest-v1") {
+    if (schema != RunManifest::schema) {
         error = schema.empty() ? "missing schema tag"
                                : "unknown schema '" + schema + "'";
         return false;
@@ -34,6 +38,19 @@ checkManifest(const JsonValue &doc, std::string &error)
         error = "missing or non-positive 'hardware_threads'";
         return false;
     }
+    const JsonValue *files = doc.findArray("files");
+    if (!files) {
+        error = "missing 'files' array";
+        return false;
+    }
+    for (const JsonValue &file : files->items()) {
+        if (!file.isString() || file.asString().empty() ||
+            file.asString().find('/') != std::string::npos ||
+            file.asString() == "manifest.json") {
+            error = "'files' holds an entry that is not a file name";
+            return false;
+        }
+    }
     const JsonValue *counters = doc.findObject("counters");
     if (!counters) {
         error = "missing 'counters' object";
@@ -44,6 +61,48 @@ checkManifest(const JsonValue &doc, std::string &error)
             error = "counter '" + name + "' is not a number";
             return false;
         }
+    }
+    return true;
+}
+
+bool
+checkBundle(const std::string &dir, std::string &error)
+{
+    namespace fs = std::filesystem;
+    const auto fail = [&](const std::string &file, const std::string &why) {
+        error = (fs::path(dir) / file).string() + ": " + why;
+        return false;
+    };
+    JsonValue manifest;
+    if (!loadJsonFile((fs::path(dir) / "manifest.json").string(), manifest,
+                      error))
+        return false;
+    std::string why;
+    if (!checkManifest(manifest, why))
+        return fail("manifest.json", "malformed manifest: " + why);
+
+    std::set<std::string> listed = {"manifest.json"};
+    for (const JsonValue &file : manifest.findArray("files")->items())
+        listed.insert(file.asString());
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (!listed.count(name))
+            return fail(name, "not listed in manifest.json");
+    }
+    for (const std::string &name : listed) {
+        const fs::path path = fs::path(dir) / name;
+        if (!fs::is_regular_file(path))
+            return fail(name, "listed in manifest.json but missing");
+        if (path.extension() != ".json")
+            continue;
+        JsonValue doc;
+        if (!loadJsonFile(path.string(), doc, error))
+            return false;
+        std::ostringstream rendered;
+        if ((name == "decisions.json" &&
+             !renderDecisionLog(doc, rendered, why)) ||
+            (name == "slo.json" && !renderSloReport(doc, rendered, why)))
+            return fail(name, why);
     }
     return true;
 }
@@ -135,7 +194,7 @@ diffResults(const JsonValue &base, const JsonValue &fresh,
     // A manifest input must be a *valid* manifest; a malformed one
     // exits 2 rather than silently diffing garbage.
     for (const auto *doc : {&base, &fresh}) {
-        if (doc->stringOr("schema", "") == "wslicer-manifest-v1") {
+        if (doc->stringOr("schema", "") == RunManifest::schema) {
             std::string error;
             if (!checkManifest(*doc, error)) {
                 diff.malformed = true;

@@ -1,11 +1,12 @@
 /**
  * @file
- * The analysis half of `wslicer-report`: validate run manifests,
- * diff two result JSONs (manifests or BENCH dumps) for regressions,
- * and render decision logs as human-readable "why this split"
- * reports. Pure functions over parsed JsonValue documents so tests
- * can drive them with crafted fixtures; the tool binary is a thin
- * argv wrapper.
+ * The analysis half of `wslicer-report`: validate run bundles and
+ * their manifests, diff two result JSONs (manifests or BENCH dumps)
+ * for regressions, and render decision logs as human-readable "why
+ * this split" reports. Apart from checkBundle, which reads a
+ * directory, these are pure functions over parsed JsonValue documents
+ * so tests can drive them with crafted fixtures; the tool binary is a
+ * thin argv wrapper.
  */
 
 #ifndef WSL_OBS_REPORT_HH
@@ -21,11 +22,21 @@ class JsonValue;
 
 /**
  * Validate a parsed run manifest: schema tag, tool, git_describe,
- * numeric hardware_threads, config_fingerprint, and a counters
- * object with numeric values. Returns false and fills `error` with
- * the first problem found.
+ * numeric hardware_threads, config_fingerprint, a files array of
+ * plain file names, and a counters object with numeric values.
+ * Returns false and fills `error` with the first problem found.
  */
 bool checkManifest(const JsonValue &doc, std::string &error);
+
+/**
+ * Validate the run bundle in `dir` (`wslicer-sim --obs DIR`): its
+ * manifest.json passes checkManifest, every file the manifest lists
+ * exists, the directory holds nothing the manifest does not list,
+ * every .json file parses, decisions.json renders as a decision log
+ * and slo.json as an SLO report. Returns false and fills `error`,
+ * naming the file, with the first problem found.
+ */
+bool checkBundle(const std::string &dir, std::string &error);
 
 /** Result of diffing two result documents. */
 struct DiffResult

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "obs/json.hh"
 
 namespace wsl {
 
@@ -84,21 +83,6 @@ Table::writeCsv(std::ostream &os) const
     emit(header);
     for (const auto &row : rows)
         emit(row);
-}
-
-void
-Table::writeJson(std::ostream &os) const
-{
-    os << "[";
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        os << (r ? ",\n " : "\n ") << "{";
-        for (std::size_t c = 0; c < header.size(); ++c) {
-            os << (c ? ", " : "") << '"' << jsonEscaped(header[c])
-               << "\": \"" << jsonEscaped(rows[r][c]) << '"';
-        }
-        os << "}";
-    }
-    os << "\n]\n";
 }
 
 std::vector<std::pair<std::string, double>>

@@ -1,7 +1,7 @@
 /**
  * @file
- * Small result-table abstraction with text, CSV, and JSON writers,
- * used by the CLI driver and available to downstream tooling for
+ * Small result-table abstraction with text and CSV writers, used by
+ * the CLI driver and available to downstream tooling for
  * machine-readable experiment output.
  */
 
@@ -37,9 +37,6 @@ class Table
 
     /** RFC-4180-style CSV (quotes fields containing , " or \n). */
     void writeCsv(std::ostream &os) const;
-
-    /** JSON array of objects keyed by column name. */
-    void writeJson(std::ostream &os) const;
 
   private:
     static std::string csvEscape(const std::string &field);

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/counters.hh"
 #include "obs/json.hh"
-#include "obs/registry.hh"
 
 namespace wsl {
 
@@ -138,58 +138,55 @@ SloTracker::writeJson(std::ostream &os) const
 }
 
 void
-SloTracker::registerCounters(CounterRegistry &registry) const
+SloTracker::appendCounters(std::vector<MetricSample> &out) const
 {
-    registry.addProvider([this](std::vector<MetricSample> &out) {
-        for (std::size_t i = 0; i < slos.size(); ++i) {
-            const ClassSlo &s = slos[i];
-            const std::vector<std::pair<std::string, std::string>>
-                label = {{"class", names[i].name}};
-            auto add = [&](const char *name, double v,
-                           const char *help,
-                           const char *type = "counter") {
-                out.push_back({name, label, v, type, help});
-            };
-            add("wsl_serve_arrivals",
-                static_cast<double>(s.arrivals),
-                "kernel-launch requests, admitted or not");
-            add("wsl_serve_admitted",
-                static_cast<double>(s.admitted),
-                "requests accepted into the bounded queue");
-            add("wsl_serve_completed",
-                static_cast<double>(s.completed),
-                "jobs that reached their instruction target");
-            add("wsl_serve_goodput",
-                static_cast<double>(s.goodput),
-                "jobs completed within their deadline");
-            add("wsl_serve_deadline_miss",
-                static_cast<double>(s.deadlineMiss),
-                "jobs that finished late or timed out");
-            add("wsl_serve_rejected",
-                static_cast<double>(s.rejectedQueueFull +
-                                    s.rejectedQuarantined +
-                                    s.rejectedMalformed),
-                "requests refused at admission");
-            add("wsl_serve_shed", static_cast<double>(s.shed),
-                "admitted jobs dropped by overload shedding");
-            add("wsl_serve_timed_out",
-                static_cast<double>(s.timedOut),
-                "admitted jobs whose deadline passed unserved");
-            add("wsl_serve_failed", static_cast<double>(s.failed),
-                "jobs that exhausted their fault-retry budget");
-            add("wsl_serve_retries", static_cast<double>(s.retries),
-                "fault-recovery retries (capped exponential backoff)");
-            add("wsl_serve_preemptions",
-                static_cast<double>(s.preemptions),
-                "evictions in favor of tighter-deadline jobs");
-            add("wsl_serve_faults_injected",
-                static_cast<double>(s.faultsInjected),
-                "chaos faults attributed to this class");
-            add("wsl_serve_quarantined",
-                s.quarantined ? 1.0 : 0.0,
-                "1 when the class is quarantined", "gauge");
-        }
-    });
+    for (std::size_t i = 0; i < slos.size(); ++i) {
+        const ClassSlo &s = slos[i];
+        const std::vector<std::pair<std::string, std::string>> label = {
+            {"class", names[i].name}};
+        auto add = [&](const char *name, double v, const char *help,
+                       const char *type = "counter") {
+            out.push_back({name, label, v, type, help});
+        };
+        add("wsl_serve_arrivals",
+            static_cast<double>(s.arrivals),
+            "kernel-launch requests, admitted or not");
+        add("wsl_serve_admitted",
+            static_cast<double>(s.admitted),
+            "requests accepted into the bounded queue");
+        add("wsl_serve_completed",
+            static_cast<double>(s.completed),
+            "jobs that reached their instruction target");
+        add("wsl_serve_goodput",
+            static_cast<double>(s.goodput),
+            "jobs completed within their deadline");
+        add("wsl_serve_deadline_miss",
+            static_cast<double>(s.deadlineMiss),
+            "jobs that finished late or timed out");
+        add("wsl_serve_rejected",
+            static_cast<double>(s.rejectedQueueFull +
+                                s.rejectedQuarantined +
+                                s.rejectedMalformed),
+            "requests refused at admission");
+        add("wsl_serve_shed", static_cast<double>(s.shed),
+            "admitted jobs dropped by overload shedding");
+        add("wsl_serve_timed_out",
+            static_cast<double>(s.timedOut),
+            "admitted jobs whose deadline passed unserved");
+        add("wsl_serve_failed", static_cast<double>(s.failed),
+            "jobs that exhausted their fault-retry budget");
+        add("wsl_serve_retries", static_cast<double>(s.retries),
+            "fault-recovery retries (capped exponential backoff)");
+        add("wsl_serve_preemptions",
+            static_cast<double>(s.preemptions),
+            "evictions in favor of tighter-deadline jobs");
+        add("wsl_serve_faults_injected",
+            static_cast<double>(s.faultsInjected),
+            "chaos faults attributed to this class");
+        add("wsl_serve_quarantined",
+            s.quarantined ? 1.0 : 0.0,
+            "1 when the class is quarantined", "gauge");
+    }
 }
 
 } // namespace wsl

@@ -6,7 +6,7 @@
  * counts (rejected / shed / timed-out / failed) that make overload
  * and chaos behavior auditable. Exports as a deterministic JSON
  * report (schema wslicer-serve-v1), a human table, and labeled
- * counters in the PR 6 CounterRegistry.
+ * counters (obs/counters.hh).
  */
 
 #ifndef WSL_SERVE_SLO_HH
@@ -22,7 +22,7 @@
 
 namespace wsl {
 
-class CounterRegistry;
+struct MetricSample;
 
 /** One tenant class's SLO ledger. */
 struct ClassSlo
@@ -88,9 +88,8 @@ class SloTracker
     /** Deterministic JSON report, schema "wslicer-serve-v1". */
     void writeJson(std::ostream &os) const;
 
-    /** Register wsl_serve_* counters, labeled by class. The tracker
-     *  must outlive the registry's exports. */
-    void registerCounters(CounterRegistry &registry) const;
+    /** Append wsl_serve_* counters, labeled by class. */
+    void appendCounters(std::vector<MetricSample> &out) const;
 
   private:
     std::vector<TenantClass> names;

@@ -271,10 +271,4 @@ TelemetrySampler::writeCsv(std::ostream &os) const
     toTable().writeCsv(os);
 }
 
-void
-TelemetrySampler::writeJson(std::ostream &os) const
-{
-    toTable().writeJson(os);
-}
-
 } // namespace wsl

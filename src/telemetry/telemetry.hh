@@ -5,7 +5,7 @@
  * deltas as a bounded in-memory time series. The series exposes the
  * dynamics the aggregate counters hide — IPC, stall mix, miss rates,
  * occupancy, and the active CTA quota per kernel as the Warped-Slicer
- * controller re-partitions — and exports as tidy CSV/JSON or feeds the
+ * controller re-partitions — and exports as tidy CSV or feeds the
  * Chrome-trace timeline exporter.
  *
  * The series is bounded: when `maxIntervals` fills up, adjacent
@@ -176,7 +176,6 @@ class TelemetrySampler
      */
     Table toTable() const;
     void writeCsv(std::ostream &os) const;
-    void writeJson(std::ostream &os) const;
 
   private:
     void capture(const Gpu &gpu);

@@ -362,6 +362,13 @@ TEST(Batch, OneBrokenJobDoesNotSinkTheSweep)
     EXPECT_FALSE(results[2].error.failed);
     EXPECT_TRUE(results[2].completed);
     EXPECT_GT(results[2].makespan, 0u);
+
+    // The benches' gate: the broken job is named on stderr and counted.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(reportFailedJobs(results), 1u);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("job 1 failed (config): "), std::string::npos)
+        << err;
 }
 
 TEST(Batch, ResultsMatchSerialRuns)

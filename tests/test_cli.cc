@@ -1,9 +1,10 @@
 /**
  * @file
- * End-to-end smoke tests for the wslicer-sim command-line driver (and
- * the option parsing of wslicer-fuzz and wslicer-report), run as
- * subprocesses. CTest executes these from build/tests, so the tools
- * live in ../tools.
+ * End-to-end smoke tests for the wslicer-sim command-line driver and
+ * its run bundles (and the option parsing of wslicer-fuzz,
+ * wslicer-report and bench_sweep), run as subprocesses. CTest
+ * executes these from build/tests, so the tools live in ../tools and
+ * the benches in ../bench.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +12,16 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <sstream>
 #include <string>
 
 #include <sys/wait.h>
+
+#include "obs/json.hh"
 
 namespace {
 
@@ -24,7 +29,8 @@ namespace {
 std::string
 toolPath(const std::string &tool)
 {
-    for (const char *dir : {"../tools/", "build/tools/", "tools/"}) {
+    for (const char *dir : {"../tools/", "build/tools/", "tools/",
+                            "../bench/", "build/bench/", "bench/"}) {
         if (std::ifstream(dir + tool).good())
             return dir + tool;
     }
@@ -88,17 +94,109 @@ TEST(Cli, CorunFixedPolicyWorks)
     EXPECT_NE(out.find("fairness_min_speedup"), std::string::npos);
 }
 
-TEST(Cli, CsvOutputIsWritten)
+namespace {
+
+/** An empty bundle directory under /tmp named after `name`. */
+std::string
+freshBundle(const std::string &name)
+{
+    const std::string dir = "/tmp/wsl_cli_obs_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/** The manifest.json of the bundle in `dir`, parsed. */
+wsl::JsonValue
+bundleManifest(const std::string &dir)
+{
+    wsl::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(wsl::loadJsonFile(dir + "/manifest.json", doc, error))
+        << error;
+    return doc;
+}
+
+} // namespace
+
+TEST(Cli, ObsBundleHoldsTheTableAsCsv)
 {
     REQUIRE_CLI();
-    const auto [status, out] =
-        run("solo MM --cycles 3000 --csv /tmp/wsl_cli_test.csv");
+    const std::string dir = freshBundle("solo");
+    const auto [status, out] = run("solo MM --cycles 3000 --obs " + dir);
     EXPECT_EQ(status, 0);
-    std::ifstream csv("/tmp/wsl_cli_test.csv");
+    std::ifstream csv(dir + "/table.csv");
     ASSERT_TRUE(csv.good());
     std::string header;
     std::getline(csv, header);
     EXPECT_EQ(header, "metric,value");
+    const wsl::JsonValue manifest = bundleManifest(dir);
+    const wsl::JsonValue *files = manifest.findArray("files");
+    ASSERT_NE(files, nullptr);
+    ASSERT_EQ(files->items().size(), 1u);
+    EXPECT_EQ(files->items()[0].asString(), "table.csv");
+}
+
+TEST(Cli, CorunManifestCoversStatsAndEngineMeta)
+{
+    REQUIRE_CLI();
+    const std::string dir = freshBundle("counters");
+    const auto [status, out] =
+        run("corun MM LBM --policy dynamic --window 5000 --audit=1000"
+            " --obs " + dir);
+    ASSERT_EQ(status, 0) << out;
+    const wsl::JsonValue manifest = bundleManifest(dir);
+    const wsl::JsonValue *counters = manifest.findObject("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_GT(counters->numberOr("wsl_cycles", 0), 0.0);
+    for (const char *name :
+         {"wsl_icnt_routed_requests", "wsl_icnt_delivered_responses",
+          "wsl_engine_sched_scans", "wsl_engine_scan_memo_hits",
+          "wsl_engine_audits"})
+        EXPECT_GT(counters->numberOr(name, 0), 0.0) << name;
+    std::string files;
+    for (const wsl::JsonValue &f : manifest.findArray("files")->items())
+        files += f.asString() + " ";
+    EXPECT_EQ(files, "table.csv decisions.json counters.prom ");
+}
+
+TEST(Cli, ObsRefusesADirectoryThatHoldsAFile)
+{
+    REQUIRE_CLI();
+    const std::string dir = freshBundle("occupied");
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/old.csv") << "metric,value\n";
+    for (const char *command :
+         {"solo MM --cycles 2000", "corun MM BFS --window 2000",
+          "serve --window 2000"}) {
+        const auto [status, out] =
+            run(std::string(command) + " --obs " + dir);
+        ASSERT_TRUE(WIFEXITED(status)) << command;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+        EXPECT_NE(out.find("already holds files"), std::string::npos)
+            << out;
+        EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                                std::filesystem::directory_iterator()),
+                  1)
+            << command;
+    }
+    // A file where the directory should be is refused the same way.
+    const auto [status, out] =
+        run("solo MM --cycles 2000 --obs " + dir + "/old.csv");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+}
+
+TEST(Cli, FailedRunLeavesNoBundle)
+{
+    REQUIRE_CLI();
+    // A one-cycle watchdog reports a deadlock at once.
+    const std::string dir = freshBundle("failed");
+    const auto [status, out] =
+        run("corun MM BFS --window 2000 --watchdog-cycles 1 --obs " + dir);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    EXPECT_NE(out.find("deadlock error"), std::string::npos) << out;
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(Cli, UnknownCommandFails)
@@ -194,24 +292,28 @@ TEST(Cli, FuzzRejectsMalformedNumbers)
 namespace {
 
 /**
- * Each `flags` use on each `commands` line must exit 2 with the usage
- * text before anything is simulated, leaving `out` unwritten.
+ * Each `flags` use on each `commands` line, given a bundle directory,
+ * must exit 2 with the usage text before anything is simulated,
+ * leaving `out` unwritten and the bundle directory uncreated.
  */
 void
 expectUsageErrors(std::initializer_list<const char *> commands,
                   std::initializer_list<const char *> flags)
 {
     const std::string out = "/tmp/wsl_cli_unwritten.out";
+    const std::string bundle = "/tmp/wsl_cli_unwritten_bundle";
     for (const char *command : commands) {
         for (const char *flag : flags) {
             std::remove(out.c_str());
+            std::filesystem::remove_all(bundle);
             const std::string args =
-                std::string(command) + " " + flag;
+                std::string(command) + " " + flag + " --obs " + bundle;
             const auto [status, text] = run(args);
             ASSERT_TRUE(WIFEXITED(status)) << args;
             EXPECT_EQ(WEXITSTATUS(status), 2) << args;
             EXPECT_NE(text.find("usage"), std::string::npos) << args;
             EXPECT_FALSE(std::ifstream(out).good()) << args;
+            EXPECT_FALSE(std::filesystem::exists(bundle)) << args;
         }
     }
 }
@@ -224,8 +326,7 @@ TEST(Cli, CorunOnlyFlagsAreRejectedElsewhere)
     expectUsageErrors(
         {"solo MM --cycles 2000", "serve --window 2000",
          "combos IMG NN --window 2000"},
-        {"--timeline /tmp/wsl_cli_unwritten.out", "--stats-interval 1000",
-         "--profile /tmp/wsl_cli_unwritten.out",
+        {"--stats-interval 1000",
          "--snapshot /tmp/wsl_cli_unwritten.out", "--snapshot-at 1000",
          "--checkpoint-every 1000", "--restore /tmp/wsl_cli_unwritten.out"});
 }
@@ -235,7 +336,8 @@ TEST(Cli, ServeOnlyFlagsAreRejectedElsewhere)
     REQUIRE_CLI();
     expectUsageErrors({"solo MM --cycles 2000", "corun MM BFS --window 2000",
                        "curves MM --cycles 2000"},
-                      {"--slo /tmp/wsl_cli_unwritten.out"});
+                      {"--horizon 1000", "--quantum 500", "--closed-loop",
+                       "--chaos-seed 5"});
 }
 
 TEST(Cli, CorunOrServeFlagsAreRejectedElsewhere)
@@ -244,19 +346,27 @@ TEST(Cli, CorunOrServeFlagsAreRejectedElsewhere)
     expectUsageErrors({"list", "solo MM --cycles 2000",
                        "curves MM --cycles 2000",
                        "combos IMG NN --window 2000"},
-                      {"--decision-log /tmp/wsl_cli_unwritten.out",
-                       "--manifest /tmp/wsl_cli_unwritten.out",
-                       "--prom /tmp/wsl_cli_unwritten.out"});
+                      {"--policy even"});
 }
 
-TEST(Cli, TimelineNeedsStatsInterval)
+TEST(Cli, OutputFlagsTheBundleReplacedAreUnknown)
 {
     REQUIRE_CLI();
-    // The timeline's events live in the telemetry sampler.
-    expectUsageErrors({"corun MM BFS --window 2000"},
-                      {"--timeline /tmp/wsl_cli_unwritten.out",
-                       "--stats-interval 0 --timeline "
-                       "/tmp/wsl_cli_unwritten.out"});
+    const std::initializer_list<const char *> commands = {
+        "list", "solo MM --cycles 2000", "curves MM --cycles 2000",
+        "corun MM BFS --window 2000 --stats-interval 1000",
+        "combos IMG NN --window 2000", "serve --window 2000"};
+    for (const char *flag : {"--csv", "--json", "--timeline",
+                             "--decision-log", "--profile", "--manifest",
+                             "--prom", "--slo"}) {
+        const std::string use = std::string(flag) +
+                                " /tmp/wsl_cli_unwritten.out";
+        expectUsageErrors(commands, {use.c_str()});
+        const auto [status, out] = run("list " + use);
+        EXPECT_NE(out.find(std::string("unknown flag ") + flag),
+                  std::string::npos)
+            << out;
+    }
 }
 
 TEST(Cli, TraceFlagIsUnknown)
@@ -306,7 +416,7 @@ TEST(Cli, ValuesTheRunWouldClampOrRefuseAreRejected)
                        "--policy fixed:1,2", "--rate -1"});
     expectUsageErrors({"curves MM --cycles 500"}, {"--jobs 4x", "--jobs -1"});
     expectUsageErrors({"solo MM --cycles 1000"},
-                      {"--ctas -3", "--ctas 0"});
+                      {"--ctas -3", "--ctas 0", "--ctas 99"});
     expectUsageErrors({"list"}, {"--preset bogus"});
     expectUsageErrors({"corun MM BFS --window 2000"},
                       {"--policy bogus", "--policy fixed:4",
@@ -317,66 +427,90 @@ TEST(Cli, DocumentedInvocationsParse)
 {
     REQUIRE_CLI();
     // Every distinct wslicer-sim flag set in README.md, EXPERIMENTS.md,
-    // the verify skill and the CI workflow, with outputs under /tmp and
-    // windows cut to a few thousand cycles.
+    // the verify skill and the CI workflow, with bundles and snapshots
+    // under /tmp and windows cut to a few thousand cycles. Every
+    // bundle must pass `wslicer-report check`.
     setenv("WSL_WINDOW", "3000", 1);
-    const std::string d = " /tmp/wsl_cli_doc_";
-    for (const std::string &args : {
-             std::string("list"),
-             "solo LBM --cycles 3000 --csv" + d + "lbm.csv",
+    const std::string root = "/tmp/wsl_cli_doc";
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root);
+    const std::string ck = " " + root + "/ck";
+    int bundles = 0;
+    for (std::string args : {
+             std::string("list --obs"),
+             std::string("solo LBM --cycles 3000 --obs"),
              std::string("curves MVP"),
-             "corun IMG NN --policy dynamic --decision-log" + d + "d.json",
+             std::string("corun IMG NN --policy dynamic --obs"),
              std::string("corun HOT BLK MM --policy even --preset large"),
              std::string("combos HOT BLK"),
-             "corun MM BFS --policy dynamic --stats-interval 1000"
-             " --timeline" + d + "tl.json --csv" + d + "ts.csv",
-             "corun MM BFS --policy dynamic --stats-interval 1000"
-             " --timeline" + d + "tl.json --csv" + d + "ts.csv --jobs 4",
-             "corun MM LBM --policy dynamic --decision-log" + d +
-                 "dec.json --profile" + d + "prof.json --manifest" + d +
-                 "man.json --prom" + d + "ctr.prom",
-             "corun MM LBM --window 3000 --snapshot" + d + "ck.snap",
-             "corun MM LBM --window 3000 --restore" + d +
-                 "ck.snap --manifest" + d + "m.json --decision-log" + d +
-                 "d.json",
-             "corun MM LBM --window 3000 --restore" + d +
-                 "ck.snap --audit=1",
-             "corun MM LBM --policy dynamic --profile" + d +
-                 "prof.json --manifest" + d + "man.json",
-             "corun MM LBM --policy dynamic --decision-log" + d + "dec.json",
+             std::string("corun MM BFS --policy dynamic --stats-interval"
+                         " 1000 --obs"),
+             std::string("corun MM BFS --policy dynamic --stats-interval"
+                         " 1000 --jobs 4 --obs"),
+             std::string("corun MM LBM --policy dynamic --obs"),
+             "corun MM LBM --window 3000 --snapshot" + ck + "1.snap",
+             "corun MM LBM --window 3000 --restore" + ck + "1.snap --obs",
+             "corun MM LBM --window 3000 --restore" + ck + "1.snap --audit=1",
              "corun MM LBM --window 3000 --checkpoint-every 1000 --snapshot" +
-                 d + "ck2.snap",
-             "corun MM LBM --window 3000 --restore" + d +
-                 "ck2.snap --manifest" + d + "resumed.json",
-             "corun IMG NN --policy dynamic --window 3000 --stats-interval"
-             " 1000 --timeline" + d + "imgnn.json",
-             "corun MM LBM --policy dynamic --window 3000 --decision-log" +
-                 d + "dec.json --profile" + d + "prof.json --manifest" + d +
-                 "man.json --prom" + d + "ctr.prom",
-             "corun MM LBM --policy dynamic --window 3000 --snapshot" + d +
-                 "ck3.snap --manifest" + d + "cold.json",
-             "corun MM LBM --policy dynamic --window 3000 --restore" + d +
-                 "ck3.snap --decision-log" + d + "rd.json --manifest" + d +
-                 "rm.json",
-             "serve --rate 4 --policy dynamic --slo" + d + "slo.json --prom" +
-                 d + "serve.prom",
+                 ck + "2.snap",
+             "corun MM LBM --window 3000 --restore" + ck + "2.snap --obs",
+             std::string("corun IMG NN --policy dynamic --window 3000"
+                         " --stats-interval 1000 --obs"),
+             "corun MM LBM --policy dynamic --window 3000 --snapshot" + ck +
+                 "3.snap --obs",
+             "corun MM LBM --policy dynamic --window 3000 --restore" + ck +
+                 "3.snap --obs",
+             std::string("serve --rate 4 --policy dynamic --obs"),
              std::string("serve --chaos-seed 11 --chaos-faults 6"),
-             "serve --policy even --rate 2 --seed 7 --preset dc --slo" + d +
-                 "slo_dc.json",
-             "serve --window 3000 --seed 7 --chaos-seed 11 --chaos-faults 6"
-             " --slo" + d + "chaos.json --manifest" + d +
-                 "serve_man.json --prom" + d + "serve_ctr.prom",
-             "serve --window 3000 --seed 7 --chaos-seed 11 --chaos-faults 6"
-             " --slo" + d + "chaos2.json",
-             "serve --window 3000 --seed 7 --rate 2 --slo" + d + "clean.json",
-             "serve --window 3000 --seed 7 --closed-loop --slo" + d +
-                 "closed.json",
+             std::string("serve --policy even --rate 2 --seed 7 --preset dc"
+                         " --obs"),
              std::string("serve --window 3000 --seed 7 --chaos-seed 11"
-                         " --chaos-faults 6"),
+                         " --chaos-faults 6 --obs"),
+             std::string("serve --window 3000 --seed 7 --rate 2 --obs"),
+             std::string("serve --window 3000 --seed 7 --closed-loop --obs"),
          }) {
+        std::string dir;
+        if (args.size() > 6 && args.substr(args.size() - 6) == " --obs") {
+            dir = root + "/" + std::to_string(bundles++);
+            args += " " + dir;
+        }
         const auto [status, out] = run(args);
         ASSERT_TRUE(WIFEXITED(status)) << args;
         EXPECT_EQ(WEXITSTATUS(status), 0) << args << "\n" << out;
+        if (dir.empty())
+            continue;
+        const auto [check, report] = run("check " + dir, "wslicer-report");
+        EXPECT_EQ(check, 0) << args << "\n" << report;
+    }
+    unsetenv("WSL_WINDOW");
+}
+
+TEST(Cli, ReportCheckNamesTheBadFile)
+{
+    REQUIRE_CLI();
+    const std::string dir = freshBundle("check");
+    ASSERT_EQ(run("list --obs " + dir).first, 0);
+    EXPECT_EQ(run("check " + dir, "wslicer-report").first, 0);
+    std::ofstream(dir + "/notes.txt") << "stray\n";
+    const auto [status, out] = run("check " + dir, "wslicer-report");
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_NE(out.find("notes.txt"), std::string::npos) << out;
+}
+
+TEST(Cli, BenchSweepRejectsMalformedJobs)
+{
+    if (toolPath("bench_sweep").empty())
+        GTEST_SKIP() << "bench_sweep not built next to the tests";
+    // Read leniently, "4x" warned and ran the parallel pass serially.
+    setenv("WSL_WINDOW", "1000", 1);
+    for (const char *jobs : {"4x", "-1", "abc", "''", "' 8'"}) {
+        const auto [status, out] =
+            run(std::string("--quick --jobs ") + jobs, "bench_sweep");
+        ASSERT_TRUE(WIFEXITED(status)) << jobs;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << jobs;
+        EXPECT_NE(out.find("usage"), std::string::npos) << jobs;
+        EXPECT_EQ(out.find("sweep:"), std::string::npos) << jobs;
     }
     unsetenv("WSL_WINDOW");
 }

@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the observability layer: the JSON document model and
- * parser, the counter registry's exporters, run manifests, the
- * result-diff rules (regression / threshold / cross-host skip), the
- * decision-log renderer, and the property the whole subsystem
- * promises: attaching the profiler, registry, and decision log leaves
- * the simulation bit-identical.
+ * parser, the counters' Prometheus writer, run manifests and the run
+ * bundle checker, the result-diff rules (regression / threshold /
+ * cross-host skip), the decision-log renderer, and the property the
+ * whole subsystem promises: attaching the profiler and decision log
+ * and writing the counters leaves the simulation bit-identical.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,11 +24,11 @@
 #include "core/waterfill.hh"
 #include "gpu/gpu.hh"
 #include "harness/runner.hh"
+#include "obs/counters.hh"
 #include "obs/decision_log.hh"
 #include "obs/engine_profiler.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
-#include "obs/registry.hh"
 #include "obs/report.hh"
 #include "workloads/benchmarks.hh"
 
@@ -79,6 +82,26 @@ TEST(Json, StringEscapes)
     EXPECT_EQ(doc.items()[2].asString(), "\n\t\\");
 }
 
+TEST(Json, WriterEscapesQuotesBackslashesAndControlCharacters)
+{
+    // jsonEscaped writes every string of a bundle's JSON files and
+    // every Prometheus label value.
+    const std::string raw = "a\"b\\c\r\x01";
+    EXPECT_EQ(jsonEscaped(raw), "a\\\"b\\\\c\\r\\u0001");
+    JsonValue doc = JsonValue::makeObject();
+    doc.set("esc\"aped", JsonValue::makeString(raw));
+    doc.set("v", JsonValue::makeString("back\\slash"));
+    const std::string text = doc.dump();
+    EXPECT_EQ(text, "{\"esc\\\"aped\":\"a\\\"b\\\\c\\r\\u0001\","
+                    "\"v\":\"back\\\\slash\"}");
+    // Raw control characters make the document invalid JSON.
+    EXPECT_EQ(text.find('\r'), std::string::npos);
+    EXPECT_EQ(text.find('\x01'), std::string::npos);
+    const JsonValue back = parsed(text);
+    EXPECT_EQ(back.stringOr("esc\"aped", ""), raw);
+    EXPECT_EQ(back.stringOr("v", ""), "back\\slash");
+}
+
 TEST(Json, MalformedInputsRejectedWithOffsets)
 {
     for (const char *bad : {"{", "[1,]", "{\"a\":}", "tru", "1 2",
@@ -109,25 +132,28 @@ TEST(Json, ObjectKeyOrderPreserved)
 }
 
 // ---------------------------------------------------------------------
-// Counter registry
+// Counters
 // ---------------------------------------------------------------------
 
-TEST(Registry, PromSafeName)
+TEST(Counters, PromSafeName)
 {
     EXPECT_EQ(promSafeName("sm.warp-insts"), "sm_warp_insts");
     EXPECT_EQ(promSafeName("2fast"), "_2fast");
     EXPECT_EQ(promSafeName(""), "_");
 }
 
-TEST(Registry, PrometheusGroupsFamiliesWithHeaders)
+TEST(Counters, PrometheusGroupsFamiliesWithHeaders)
 {
-    CounterRegistry registry;
-    registry.addCounter("wsl_ticks", "cycles ticked", [] { return 7.0; });
-    registry.addGauge("wsl_ipc", "current ipc", [] { return 1.5; });
+    const std::vector<MetricSample> samples = {
+        {"wsl_ticks", {}, 7.0, "counter", "cycles ticked"},
+        {"wsl_ipc", {}, 1.5, "gauge", "current ipc"},
+        {"wsl_ticks", {{"sm", "1"}}, 3.0, "counter", ""},
+    };
     std::ostringstream os;
-    registry.writePrometheus(os);
+    writePrometheus(os, samples);
     const std::string out = os.str();
-    EXPECT_NE(out.find("# TYPE wsl_ticks counter\nwsl_ticks 7\n"),
+    EXPECT_NE(out.find("# TYPE wsl_ticks counter\nwsl_ticks 7\n"
+                       "wsl_ticks{sm=\"1\"} 3\n"),
               std::string::npos)
         << out;
     EXPECT_NE(out.find("# TYPE wsl_ipc gauge\nwsl_ipc 1.5\n"),
@@ -137,54 +163,38 @@ TEST(Registry, PrometheusGroupsFamiliesWithHeaders)
               std::string::npos);
 }
 
-TEST(Registry, JsonExportFoldsLabels)
-{
-    CounterRegistry registry;
-    registry.addProvider([](std::vector<MetricSample> &out) {
-        out.push_back({"wsl_phase_ns",
-                       {{"phase", "sm_compute"}},
-                       42.0,
-                       "counter",
-                       ""});
-    });
-    std::ostringstream os;
-    registry.writeJson(os);
-    const JsonValue doc = parsed(os.str());
-    EXPECT_EQ(doc.numberOr("wsl_phase_ns{phase=\"sm_compute\"}", 0),
-              42.0);
-}
-
-TEST(Registry, ProvidersSampleCurrentValueAtExport)
-{
-    double value = 1.0;
-    CounterRegistry registry;
-    registry.addCounter("wsl_x", "", [&value] { return value; });
-    EXPECT_EQ(registry.collect()[0].value, 1.0);
-    value = 5.0;
-    EXPECT_EQ(registry.collect()[0].value, 5.0);
-}
-
-TEST(Registry, GpuCountersCoverStatsAndEngineMeta)
+TEST(Counters, ProfilerAppendsEngineAndInterconnectCounters)
 {
     GpuConfig cfg = GpuConfig::baseline();
+    cfg.auditCadence = 500;
     Gpu gpu(cfg, std::make_unique<LeftOverPolicy>());
     gpu.launchKernel(benchmark("MM"));
+    EngineProfiler prof;
+    gpu.attachEngineProfiler(&prof);
     gpu.run(2000);
+    prof.harvest(gpu);
 
-    CounterRegistry registry;
-    registerGpuCounters(registry, gpu);
-    bool saw_cycles = false, saw_scans = false, saw_icnt = false;
-    for (const MetricSample &s : registry.collect()) {
-        if (s.name == "wsl_cycles" && s.value == 2000.0)
-            saw_cycles = true;
-        if (s.name == "wsl_sched_scans" && s.value > 0)
-            saw_scans = true;
-        if (s.name == "wsl_icnt_routed_requests")
-            saw_icnt = true;
-    }
-    EXPECT_TRUE(saw_cycles);
-    EXPECT_TRUE(saw_scans);
-    EXPECT_TRUE(saw_icnt);
+    std::vector<MetricSample> counters;
+    appendStatsCounters(counters, gpu.collectStats());
+    prof.appendCounters(counters);
+    std::map<std::string, double> value;
+    for (const MetricSample &s : counters)
+        if (s.labels.empty())
+            value[s.name] = s.value;
+    EXPECT_EQ(value["wsl_cycles"], 2000.0);
+    EXPECT_EQ(value["wsl_engine_ticks"], 2000.0);
+    EXPECT_EQ(value["wsl_engine_sched_scans"],
+              static_cast<double>(prof.schedulerScans()));
+    EXPECT_GT(value["wsl_engine_sched_scans"], 0.0);
+    EXPECT_EQ(value["wsl_engine_scan_memo_hits"],
+              static_cast<double>(prof.scanMemoHits()));
+    EXPECT_EQ(value["wsl_engine_audits"], 4.0);
+    EXPECT_EQ(value["wsl_icnt_routed_requests"],
+              static_cast<double>(gpu.interconnect().routedRequests()));
+    EXPECT_GT(value["wsl_icnt_routed_requests"], 0.0);
+    EXPECT_EQ(value["wsl_icnt_delivered_responses"],
+              static_cast<double>(
+                  gpu.interconnect().deliveredResponses()));
 }
 
 // ---------------------------------------------------------------------
@@ -193,21 +203,30 @@ TEST(Registry, GpuCountersCoverStatsAndEngineMeta)
 
 TEST(Manifest, BuildProducesValidManifest)
 {
-    CounterRegistry registry;
-    registry.addCounter("wsl_x", "", [] { return 3.0; });
-    const RunManifest m = buildRunManifest(
-        "test", GpuConfig::baseline(), &registry, 1234);
+    const std::vector<MetricSample> counters = {
+        {"wsl_x", {}, 3.0, "counter", ""},
+        {"wsl_phase_ns", {{"phase", "sm_compute"}}, 42.0, "counter", ""},
+    };
+    RunManifest m =
+        buildRunManifest("test", GpuConfig::baseline(), counters, 1234);
+    m.files = {"table.csv", "counters.prom"};
     std::ostringstream os;
     m.writeJson(os);
     const JsonValue doc = parsed(os.str());
     std::string error;
     EXPECT_TRUE(checkManifest(doc, error)) << error;
+    EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-manifest-v2");
     EXPECT_EQ(doc.stringOr("tool", ""), "test");
     EXPECT_EQ(doc.numberOr("simulated_cycles", 0), 1234.0);
     EXPECT_GE(doc.numberOr("hardware_threads", 0), 1.0);
-    const JsonValue *counters = doc.findObject("counters");
-    ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->numberOr("wsl_x", 0), 3.0);
+    const JsonValue *files = doc.findArray("files");
+    ASSERT_NE(files, nullptr);
+    ASSERT_EQ(files->items().size(), 2u);
+    EXPECT_EQ(files->items()[1].asString(), "counters.prom");
+    const JsonValue *dump = doc.findObject("counters");
+    ASSERT_NE(dump, nullptr);
+    EXPECT_EQ(dump->numberOr("wsl_x", 0), 3.0);
+    EXPECT_EQ(dump->numberOr("wsl_phase_ns.phase.sm_compute", 0), 42.0);
 }
 
 TEST(Manifest, CheckRejectsTamperedManifests)
@@ -225,9 +244,12 @@ TEST(Manifest, CheckRejectsTamperedManifests)
         const char *expect;
     };
     const Case cases[] = {
-        {"wslicer-manifest-v1", "wslicer-manifest-v9", "schema"},
+        {"wslicer-manifest-v2", "wslicer-manifest-v9", "schema"},
         {"\"tool\"", "\"tool_\"", "tool"},
         {"\"hardware_threads\"", "\"hw\"", "hardware_threads"},
+        {"\"files\"", "\"fls\"", "files"},
+        {"\"files\":[]", "\"files\":[\"a/b.csv\"]", "files"},
+        {"\"files\":[]", "\"files\":[\"manifest.json\"]", "files"},
         {"\"counters\"", "\"cntrs\"", "counters"},
     };
     for (const Case &c : cases) {
@@ -239,6 +261,108 @@ TEST(Manifest, CheckRejectsTamperedManifests)
         EXPECT_FALSE(checkManifest(parsed(bad), error)) << c.from;
         EXPECT_NE(error.find(c.expect), std::string::npos) << error;
     }
+}
+
+// ---------------------------------------------------------------------
+// Run bundle checker
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A fresh, well-formed bundle in a temporary directory named after
+ *  `name`: manifest.json listing table.csv, timeline.json,
+ *  decisions.json and slo.json. */
+std::string
+bundleFixture(const std::string &name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / ("wsl_obs_bundle_" + name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    RunManifest m = buildRunManifest("test", GpuConfig::baseline());
+    m.files = {"table.csv", "timeline.json", "decisions.json", "slo.json"};
+    std::ofstream(dir / "manifest.json") << [&] {
+        std::ostringstream os;
+        m.writeJson(os);
+        return os.str();
+    }();
+    std::ofstream(dir / "table.csv") << "metric,value\n";
+    std::ofstream(dir / "timeline.json") << "{}";
+    std::ofstream(dir / "decisions.json")
+        << R"({"schema":"wslicer-decisions-v1","decisions":[]})";
+    std::ofstream(dir / "slo.json")
+        << R"({"schema":"wslicer-serve-v1","classes":[]})";
+    return dir.string();
+}
+
+/** checkBundle's verdict on `dir`, expecting a failure that names
+ *  `file`. */
+void
+expectBundleRejected(const std::string &dir, const std::string &file)
+{
+    std::string error;
+    EXPECT_FALSE(checkBundle(dir, error)) << file;
+    EXPECT_NE(error.find(file), std::string::npos) << error;
+    std::filesystem::remove_all(dir);
+}
+
+} // namespace
+
+TEST(Bundle, CheckAcceptsAWellFormedBundle)
+{
+    const std::string dir = bundleFixture("good");
+    std::string error;
+    EXPECT_TRUE(checkBundle(dir, error)) << error;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Bundle, CheckRejectsAMalformedManifest)
+{
+    const std::string dir = bundleFixture("manifest");
+    std::stringstream text;
+    text << std::ifstream(dir + "/manifest.json").rdbuf();
+    std::string manifest = text.str();
+    const std::size_t at = manifest.find("wslicer-manifest-v2");
+    ASSERT_NE(at, std::string::npos);
+    std::ofstream(dir + "/manifest.json")
+        << manifest.replace(at, 19, "wslicer-manifest-v9");
+    expectBundleRejected(dir, "manifest.json");
+}
+
+TEST(Bundle, CheckRejectsAMissingListedFile)
+{
+    const std::string dir = bundleFixture("missing");
+    std::filesystem::remove(dir + "/table.csv");
+    expectBundleRejected(dir, "table.csv");
+}
+
+TEST(Bundle, CheckRejectsAnUnlistedFile)
+{
+    const std::string dir = bundleFixture("unlisted");
+    std::ofstream(dir + "/stray.json") << "{}";
+    expectBundleRejected(dir, "stray.json");
+}
+
+TEST(Bundle, CheckRejectsJsonThatDoesNotParse)
+{
+    const std::string dir = bundleFixture("parse");
+    std::ofstream(dir + "/timeline.json") << R"({"traceEvents":[})";
+    expectBundleRejected(dir, "timeline.json");
+}
+
+TEST(Bundle, CheckRejectsDecisionsExplainCannotRender)
+{
+    const std::string dir = bundleFixture("decisions");
+    std::ofstream(dir + "/decisions.json")
+        << R"({"schema":"wslicer-decisions-v1"})";
+    expectBundleRejected(dir, "decisions.json");
+}
+
+TEST(Bundle, CheckRejectsSloReportsSloCannotRender)
+{
+    const std::string dir = bundleFixture("slo");
+    std::ofstream(dir + "/slo.json") << R"({"schema":"wslicer-serve-v1"})";
+    expectBundleRejected(dir, "slo.json");
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +464,7 @@ TEST(Diff, MalformedInputsExitTwo)
               2);
     // A document claiming to be a manifest must validate as one.
     const JsonValue fake_manifest =
-        parsed(R"({"schema":"wslicer-manifest-v1","x":1})");
+        parsed(R"({"schema":"wslicer-manifest-v2","x":1})");
     EXPECT_EQ(diffResults(good, fake_manifest).exitCode(), 2);
 }
 
@@ -419,13 +543,13 @@ smallCoRun(bool observed)
     run.result =
         runCoSchedule(apps, targets, PolicyKind::Dynamic, cfg, co);
     if (observed) {
-        // Exercising the exporters is part of the perturbation test.
-        CounterRegistry registry;
-        registerStatsCounters(registry, run.result.stats);
-        profiler.registerCounters(registry);
-        registerHarnessCounters(registry);
+        // Writing the counters is part of the perturbation test.
+        std::vector<MetricSample> counters;
+        appendStatsCounters(counters, run.result.stats);
+        profiler.appendCounters(counters);
+        appendHarnessCounters(counters);
         std::ostringstream prom, dec;
-        registry.writePrometheus(prom);
+        writePrometheus(prom, counters);
         EXPECT_FALSE(prom.str().empty());
         decisions.writeJson(dec);
         run.decisionJson = dec.str();
@@ -447,7 +571,7 @@ expectStatsEqual(const GpuStats &a, const GpuStats &b)
 
 } // namespace
 
-TEST(ObsIdentity, ProfilerRegistryAndLogDoNotPerturbSimulation)
+TEST(ObsIdentity, ProfilerCountersAndLogDoNotPerturbSimulation)
 {
     const ObservedRun off = smallCoRun(false);
     const ObservedRun on = smallCoRun(true);
@@ -470,17 +594,6 @@ TEST(ObsProfiler, CountsEveryCycleAsATick)
     EXPECT_EQ(prof.ticks(), gpu.cycle());
     EXPECT_GT(prof.schedulerScans(), 0u);
     EXPECT_GT(prof.phaseNs(EpochPhase::SmCompute), 0u);
-
-    std::ostringstream os;
-    prof.writeJson(os);
-    const JsonValue doc = parsed(os.str());
-    EXPECT_EQ(doc.stringOr("schema", ""), "wslicer-profile-v3");
-    EXPECT_EQ(doc.numberOr("ticks", 0),
-              static_cast<double>(prof.ticks()));
-    for (const char *gone : {"horizon_caps", "skips", "skipped_cycles"})
-        EXPECT_EQ(doc.find(gone), nullptr) << gone;
-    EXPECT_EQ(doc.find("fused_cycles"), nullptr);
-    EXPECT_EQ(doc.find("tick_pool"), nullptr);
 }
 
 TEST(ObsDecisionLog, RendererExplainsTheRecordedDecision)

@@ -103,6 +103,16 @@ TEST(ParseJobs, MalformedInputFallsBackToSerial)
     EXPECT_EQ(parseJobs("999999999999999999999999", "--jobs"), 1u);
 }
 
+TEST(ParseJobs, FlagCountIsStrict)
+{
+    EXPECT_EQ(parseJobCount("4"), 4u);
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(parseJobCount("0"), hw ? hw : 1u);
+    for (const char *bad :
+         {"", "-3", "+2", "abc", "4x", " 8", "999999999999999999999999"})
+        EXPECT_FALSE(parseJobCount(bad)) << bad;
+}
+
 TEST(ParseJobs, DefaultJobsReadsEnvironment)
 {
     setenv("WSL_JOBS", "3", 1);

@@ -1,13 +1,13 @@
 /**
  * @file
- * Unit tests for the result-table writers (text/CSV/JSON) and the
+ * Unit tests for the result-table writers (text/CSV) and the
  * stats flattener.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "expect_throw.hh"
 #include "report/table.hh"
@@ -72,30 +72,6 @@ TEST(Table, CsvEscapesSpecialCharacters)
     t.writeCsv(os);
     EXPECT_EQ(os.str(),
               "k\n\"a,b\"\n\"say \"\"hi\"\"\"\n\"line\nbreak\"\n");
-}
-
-TEST(Table, JsonOutputParsesShape)
-{
-    std::ostringstream os;
-    sample().writeJson(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("{\"name\": \"alpha\", \"value\": \"1\"}"),
-              std::string::npos);
-    EXPECT_EQ(out.front(), '[');
-    EXPECT_EQ(out[out.size() - 2], ']');
-}
-
-TEST(Table, JsonEscapesQuotesAndBackslashes)
-{
-    Table t({"k"});
-    t.addRow({"a\"b\\c"});
-    t.addRow({"\r\x01"});
-    std::ostringstream os;
-    t.writeJson(os);
-    EXPECT_NE(os.str().find("a\\\"b\\\\c"), std::string::npos);
-    // Raw control characters make the document invalid JSON.
-    EXPECT_NE(os.str().find("\\r\\u0001"), std::string::npos);
-    EXPECT_EQ(os.str().find('\r'), std::string::npos);
 }
 
 TEST(Table, NumFormatsWithPrecision)
@@ -164,22 +140,6 @@ TEST(Table, CsvRoundTripsThroughParser)
     EXPECT_EQ(rows[2][1], "a,b");
     EXPECT_EQ(rows[3][1], "say \"hi\"");
     EXPECT_EQ(rows[4][1], "two\nlines");
-}
-
-TEST(Table, JsonRoundTripKeepsKeyValuePairs)
-{
-    Table t({"k", "v"});
-    t.addRow({"x", "1"});
-    t.addRow({"esc\"aped", "back\\slash"});
-    std::ostringstream os;
-    t.writeJson(os);
-    const std::string out = os.str();
-    // Structural sanity: one object per row inside one array.
-    EXPECT_EQ(std::count(out.begin(), out.end(), '{'), 2);
-    EXPECT_EQ(std::count(out.begin(), out.end(), '}'), 2);
-    EXPECT_NE(out.find("\"k\": \"x\""), std::string::npos);
-    EXPECT_NE(out.find("\"k\": \"esc\\\"aped\""), std::string::npos);
-    EXPECT_NE(out.find("\"v\": \"back\\\\slash\""), std::string::npos);
 }
 
 TEST(FlattenStats, ContainsCoreMetrics)

@@ -241,9 +241,6 @@ TEST(Telemetry, TableHasOneRowPerScopePerInterval)
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(text.begin(), text.end(), '\n')),
               t.numRows() + 1);
-    std::ostringstream json;
-    sampler.writeJson(json);
-    EXPECT_EQ(json.str().front(), '[');
 }
 
 TEST(Telemetry, SamplingDoesNotPerturbTheSimulation)

@@ -83,12 +83,12 @@ choice(T Opts::*field, std::vector<std::pair<const char *, T>> names)
             }};
 }
 
-/** A file name, stored as given. */
+/** A file or directory name, stored as given. */
 template <typename Opts>
 FlagValue<Opts>
-text(std::string Opts::*field)
+text(std::string Opts::*field, const char *meta = "FILE")
 {
-    return {"FILE", [=](Opts &o, const std::string &t) {
+    return {meta, [=](Opts &o, const std::string &t) {
                 o.*field = t;
                 return true;
             }};

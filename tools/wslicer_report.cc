@@ -8,9 +8,12 @@
  *       was accepted or refused, the chosen partition, and predicted
  *       vs realized IPC.
  *
- *   wslicer-report check <manifest.json>
- *       Validate a run manifest. Exit 0 when well-formed, 2 when
- *       malformed (missing schema/fields, non-numeric counters).
+ *   wslicer-report check <DIR>
+ *       Validate a run bundle (`wslicer-sim --obs DIR`): its manifest,
+ *       that DIR holds exactly the files the manifest lists, and that
+ *       each JSON file parses and, for decisions.json and slo.json,
+ *       renders. Exit 0 when the bundle is sound, 2 naming the first
+ *       bad file otherwise.
  *
  *   wslicer-report diff <base.json> <fresh.json> [--threshold X]
  *       Compare two manifests or BENCH JSONs. Exit 0 when clean,
@@ -21,13 +24,12 @@
  *       with different hardware_threads.
  *
  *   wslicer-report slo <serve.json>
- *       Render a serving-run SLO report (`wslicer-sim serve --slo`)
+ *       Render a serving-run SLO report (a serve bundle's slo.json)
  *       as a per-class summary and re-check its outcome-conservation
  *       ledger. Exit 0 on a clean ledger, 1 when the ledger is
  *       broken, 2 when the input is not a serve report.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -44,32 +46,22 @@ usage()
 {
     std::cerr
         << "usage: wslicer-report explain <decisions.json>\n"
-        << "       wslicer-report check <manifest.json>\n"
+        << "       wslicer-report check <DIR>\n"
         << "       wslicer-report diff <base.json> <fresh.json>"
         << " [--threshold X]\n"
         << "       wslicer-report slo <serve.json>\n";
     return 2;
 }
 
-/** Load and parse a JSON file; exits 2 on any failure. */
+/** Load and parse a JSON file, reporting any failure on stderr. */
 bool
 loadJson(const std::string &path, wsl::JsonValue &out)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "wslicer-report: cannot open '" << path
-                  << "'\n";
-        return false;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
     std::string error;
-    if (!wsl::parseJson(buffer.str(), out, error)) {
-        std::cerr << "wslicer-report: '" << path << "': " << error
-                  << "\n";
-        return false;
-    }
-    return true;
+    if (wsl::loadJsonFile(path, out, error))
+        return true;
+    std::cerr << "wslicer-report: " << error << "\n";
+    return false;
 }
 
 } // namespace
@@ -95,13 +87,9 @@ main(int argc, char **argv)
     }
 
     if (cmd == "check") {
-        wsl::JsonValue doc;
-        if (!loadJson(argv[2], doc))
-            return 2;
         std::string error;
-        if (!wsl::checkManifest(doc, error)) {
-            std::cerr << "wslicer-report: " << argv[2]
-                      << ": malformed manifest: " << error << "\n";
+        if (!wsl::checkBundle(argv[2], error)) {
+            std::cerr << "wslicer-report: " << error << "\n";
             return 2;
         }
         std::cout << argv[2] << ": ok\n";

@@ -29,11 +29,18 @@
  *       snapshot-rollback recovery and tenant quarantine. Exits
  *       non-zero if any organic invariant violation occurred.
  *
+ * Every command prints its table on stdout. With --obs DIR it also
+ * writes one run bundle into DIR: manifest.json (provenance, counters
+ * and the names of the other files), table.csv, and the command's
+ * other outputs (counters.prom, decisions.json, series.csv,
+ * timeline.json, slo.json). `wslicer-report check DIR` validates it.
+ *
  * The flag table below is the flag list and the usage text. Each
  * command accepts only the flags it reads.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -45,10 +52,10 @@
 #include "common/log.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
+#include "obs/counters.hh"
 #include "obs/decision_log.hh"
 #include "obs/engine_profiler.hh"
 #include "obs/manifest.hh"
-#include "obs/registry.hh"
 #include "parse_number.hh"
 #include "report/table.hh"
 #include "serve/engine.hh"
@@ -81,13 +88,7 @@ struct Options
     GpuConfig (*preset)() = GpuConfig::baseline;
     Cycle auditCadence = 0;    //!< 0 = integrity audits off
     Cycle watchdogCycles = 0;  //!< 0 = no-progress watchdog off
-    std::string csvPath;
-    std::string jsonPath;
-    std::string timelinePath;
-    std::string decisionLogPath;  //!< Dynamic-policy decision log JSON
-    std::string profilePath;      //!< engine self-profiler JSON
-    std::string manifestPath;     //!< run manifest JSON
-    std::string promPath;         //!< Prometheus counter dump
+    std::string obsDir;           //!< run bundle directory; "" = none
     std::string snapshotPath;     //!< checkpoint output (--snapshot)
     Cycle snapshotAt = 0;         //!< capture cycle; 0 = window / 2
     Cycle checkpointEvery = 0;    //!< periodic checkpoint cadence
@@ -102,7 +103,6 @@ struct Options
     std::uint64_t seed = 1;
     std::uint64_t chaosSeed = 0;  //!< 0 = chaos off
     unsigned chaosFaults = 6;
-    std::string sloPath;          //!< SLO JSON report
     unsigned jobs = defaultJobs();  //!< worker threads (WSL_JOBS)
 };
 
@@ -153,15 +153,15 @@ makeConfig(const Options &opt)
     return cfg;
 }
 
-/** Write `path` (none when empty) through `write` and announce it on
- *  stdout; failing to open or write it is fatal. */
+[[noreturn]] void usage(const std::string &why = "");
+
+/** Write `path` through `write` and announce it on stdout; failing to
+ *  open or write it is fatal. */
 void
 writeFile(const std::string &path,
           const std::function<void(std::ostream &)> &write,
           const std::string &note = "")
 {
-    if (path.empty())
-        return;
     std::ofstream os(path);
     if (!os)
         fatal("cannot open ", path);
@@ -171,33 +171,70 @@ writeFile(const std::string &path,
     std::printf("(wrote %s%s)\n", path.c_str(), note.c_str());
 }
 
-/** Print `table`; --csv and --json get `data`: the table itself, or
- *  corun's telemetry time series. */
-template <typename Data>
-void
-emit(const Options &opt, const Table &table, const Data &data)
+/** One file of a run bundle besides table.csv and manifest.json. */
+struct BundleFile
 {
-    table.writeText(std::cout);
-    writeFile(opt.csvPath, [&](std::ostream &os) { data.writeCsv(os); });
-    writeFile(opt.jsonPath, [&](std::ostream &os) { data.writeJson(os); });
+    const char *name;
+    std::function<void(std::ostream &)> write;
+    std::string note = "";  //!< appended to its "(wrote ...)" line
+};
+
+/** What a command leaves for its run bundle besides its table. */
+struct Bundle
+{
+    std::vector<BundleFile> files;
+    std::vector<MetricSample> counters;
+    Cycle cycles = 0;       //!< simulated cycles; 0 = not applicable
+    SnapshotInfo restored;  //!< provenance of a restored run
+};
+
+BundleFile
+decisionsFile(const DecisionLog &log)
+{
+    return {"decisions.json",
+            [&log](std::ostream &os) { log.writeJson(os); },
+            ", " + std::to_string(log.entries().size()) + " decisions"};
 }
 
-/** --prom and --manifest: `registry` as Prometheus text and inside a
- *  manifest of the run on `cfg`. */
-void
-writeCounters(const Options &opt, const CounterRegistry &registry,
-              const GpuConfig &cfg, Cycle cycles,
-              const SnapshotInfo &restored = {})
+BundleFile
+promFile(const std::vector<MetricSample> &counters)
 {
-    writeFile(opt.promPath,
-              [&](std::ostream &os) { registry.writePrometheus(os); });
-    writeFile(opt.manifestPath, [&](std::ostream &os) {
-        RunManifest m = buildRunManifest(
-            std::string("wslicer-sim ") + opt.command->name, cfg, &registry,
-            cycles);
-        m.snapshot = restored;
-        m.writeJson(os);
-    });
+    return {"counters.prom", [&counters](std::ostream &os) {
+                writePrometheus(os, counters);
+            }};
+}
+
+/**
+ * Print `table` and, under --obs DIR, write the run bundle: the table
+ * as table.csv, then `bundle`'s files, then manifest.json, which
+ * lists them and carries the counters of the run on `cfg`.
+ */
+void
+emit(const Options &opt, const GpuConfig &cfg, const Table &table,
+     const Bundle &bundle = {})
+{
+    table.writeText(std::cout);
+    if (opt.obsDir.empty())
+        return;
+    RunManifest m = buildRunManifest(
+        std::string("wslicer-sim ") + opt.command->name, cfg,
+        bundle.counters, bundle.cycles);
+    m.snapshot = bundle.restored;
+    // Created only now, so a usage error or a failed run leaves none.
+    const std::filesystem::path dir(opt.obsDir);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        fatal("cannot create ", opt.obsDir, ": ", ec.message());
+    std::vector<BundleFile> files = {
+        {"table.csv", [&](std::ostream &os) { table.writeCsv(os); }}};
+    files.insert(files.end(), bundle.files.begin(), bundle.files.end());
+    for (const BundleFile &f : files) {
+        writeFile(dir / f.name, f.write, f.note);
+        m.files.push_back(f.name);
+    }
+    writeFile(dir / "manifest.json",
+              [&](std::ostream &os) { m.writeJson(os); });
 }
 
 int
@@ -214,7 +251,7 @@ cmdList(const Options &opt)
                       std::to_string(k.shmPerCta),
                       std::to_string(k.maxCtasPerSm(cfg))});
     }
-    emit(opt, table, table);
+    emit(opt, cfg, table);
     return 0;
 }
 
@@ -223,14 +260,22 @@ cmdSolo(const Options &opt)
 {
     const GpuConfig cfg = makeConfig(opt);
     const Cycle cycles = opt.cycles ? opt.cycles : defaultWindow();
-    const SoloResult r = runSoloForCycles(benchmark(opt.benchNames[0]),
-                                          cfg, cycles, opt.ctas);
+    const KernelParams &k = benchmark(opt.benchNames[0]);
+    const unsigned fit = k.maxCtasPerSm(cfg);
+    if (opt.ctas > static_cast<int>(fit))
+        usage("--ctas " + std::to_string(opt.ctas) + ": " + k.name +
+              " fits at most " + std::to_string(fit) +
+              " CTAs per SM on this preset");
+    const SoloResult r = runSoloForCycles(k, cfg, cycles, opt.ctas);
     Table table({"metric", "value"});
     table.addRow({"benchmark", opt.benchNames[0]});
     table.addRow({"warp_ipc", Table::num(r.warpIpc())});
     for (const auto &[name, value] : flattenStats(r.stats))
         table.addRow({name, Table::num(value)});
-    emit(opt, table, table);
+    Bundle out;
+    out.cycles = r.cycles;
+    appendStatsCounters(out.counters, r.stats);
+    emit(opt, cfg, table, out);
     return 0;
 }
 
@@ -259,7 +304,7 @@ cmdCurves(const Options &opt)
                       Table::num(ipcs[q - 1]),
                       Table::num(peak > 0 ? ipcs[q - 1] / peak : 0)});
     }
-    emit(opt, table, table);
+    emit(opt, cfg, table);
     return 0;
 }
 
@@ -300,16 +345,17 @@ cmdCorun(const Options &opt)
     if (!opt.restorePath.empty())
         restored = probeSnapshotFile(opt.restorePath);
 
-    // Engine observability: the profiler and decision log attach for
-    // the run and are written out afterwards; neither perturbs the
-    // simulated outcome (the bit-identity test holds them to that).
+    // Engine observability for the bundle: the profiler and the
+    // Dynamic policy's decision log attach for the run and are written
+    // out afterwards; neither perturbs the simulated outcome (the
+    // bit-identity test holds them to that).
     EngineProfiler profiler;
-    if (!opt.profilePath.empty() || !opt.manifestPath.empty() ||
-        !opt.promPath.empty())
-        co.profiler = &profiler;
     DecisionLog decisions;
-    if (!opt.decisionLogPath.empty())
-        co.decisionLog = &decisions;
+    if (!opt.obsDir.empty()) {
+        co.profiler = &profiler;
+        if (kind == PolicyKind::Dynamic)
+            co.decisionLog = &decisions;
+    }
 
     CoRunResult r = runCoSchedule(apps, targets, kind, cfg, co);
     if (restored.valid())
@@ -364,32 +410,28 @@ cmdCorun(const Options &opt)
                           Table::num(r.dramQueueDepth.mean())});
         table.addRow({"telemetry_intervals",
                       std::to_string(sampler.intervals().size())});
-
     }
-    // With telemetry on, the machine-readable outputs carry the time
-    // series; the summary stays on stdout.
-    if (sampler.enabled())
-        emit(opt, table, sampler);
-    else
-        emit(opt, table, table);
 
-    writeFile(opt.timelinePath, [&](std::ostream &os) {
-        writeChromeTrace(os, sampler, r.makespan);
-    });
-    writeFile(opt.decisionLogPath,
-              [&](std::ostream &os) { decisions.writeJson(os); },
-              ", " + std::to_string(decisions.entries().size()) +
-                  " decisions");
-    writeFile(opt.profilePath,
-              [&](std::ostream &os) { profiler.writeJson(os); });
-    // The Gpu is gone; export from the stats snapshot plus the
-    // harvested profiler and process-wide harness counters.
-    CounterRegistry registry;
-    registerStatsCounters(registry, r.stats);
-    if (co.profiler)
-        profiler.registerCounters(registry);
-    registerHarnessCounters(registry);
-    writeCounters(opt, registry, cfg, r.makespan, restored);
+    Bundle out;
+    out.cycles = r.makespan;
+    out.restored = restored;
+    if (sampler.enabled()) {
+        out.files.push_back({"series.csv", [&](std::ostream &os) {
+                                 sampler.writeCsv(os);
+                             }});
+        out.files.push_back({"timeline.json", [&](std::ostream &os) {
+                                 writeChromeTrace(os, sampler, r.makespan);
+                             }});
+    }
+    if (co.decisionLog)
+        out.files.push_back(decisionsFile(decisions));
+    // The Gpu is gone; the counters come from the stats snapshot, the
+    // harvested profiler and the process-wide harness counters.
+    appendStatsCounters(out.counters, r.stats);
+    profiler.appendCounters(out.counters);
+    appendHarnessCounters(out.counters);
+    out.files.push_back(promFile(out.counters));
+    emit(opt, cfg, table, out);
     return 0;
 }
 
@@ -414,7 +456,7 @@ cmdServe(const Options &opt)
             opt.chaosSeed, opt.chaosFaults, so.horizon,
             static_cast<unsigned>(so.classes.size()));
     DecisionLog decisions;
-    if (!opt.decisionLogPath.empty())
+    if (!opt.obsDir.empty() && so.kind == PolicyKind::Dynamic)
         so.decisionLog = &decisions;
 
     const ServeResult r = runServe(so);
@@ -464,18 +506,17 @@ cmdServe(const Options &opt)
                   quarantined.empty() ? "none" : quarantined});
     table.addRow({"invariant_violations",
                   std::to_string(r.invariantViolations)});
-    emit(opt, table, table);
 
-    writeFile(opt.sloPath,
-              [&](std::ostream &os) { r.slo.writeJson(os); });
-    writeFile(opt.decisionLogPath,
-              [&](std::ostream &os) { decisions.writeJson(os); },
-              ", " + std::to_string(decisions.entries().size()) +
-                  " decisions");
-    CounterRegistry registry;
-    r.slo.registerCounters(registry);
-    registerHarnessCounters(registry);
-    writeCounters(opt, registry, so.cfg, r.endCycle);
+    Bundle out;
+    out.cycles = r.endCycle;
+    out.files.push_back(
+        {"slo.json", [&](std::ostream &os) { r.slo.writeJson(os); }});
+    if (so.decisionLog)
+        out.files.push_back(decisionsFile(decisions));
+    r.slo.appendCounters(out.counters);
+    appendHarnessCounters(out.counters);
+    out.files.push_back(promFile(out.counters));
+    emit(opt, so.cfg, table, out);
     // The chaos gate: injected faults must be survived gracefully;
     // an *organic* invariant violation is a real engine bug.
     return r.invariantViolations == 0 ? 0 : 1;
@@ -526,7 +567,9 @@ cmdCombos(const Options &opt)
                       Table::num(r.sysIpc),
                       Table::num(r.sysIpc / base.sysIpc)});
     }
-    emit(opt, table, table);
+    Bundle out;
+    appendHarnessCounters(out.counters);
+    emit(opt, cfg, table, out);
     if (failed != 0) {
         std::fprintf(stderr, "%u of %zu combos failed\n", failed,
                      combos.size());
@@ -575,10 +618,9 @@ const std::vector<Flag<Options>> flags = {
     {"--jobs",
      {"N",
       [](Options &o, const std::string &text) {
-          if (!parseNumber<unsigned>(text))
-              return false;
-          o.jobs = parseJobs(text.c_str(), "--jobs");  // 0: all threads
-          return true;
+          const std::optional<unsigned> jobs = parseJobCount(text);
+          o.jobs = jobs.value_or(o.jobs);
+          return jobs.has_value();
       }},
      "worker threads, 0 = all (default: WSL_JOBS or 1)",
      Curves | Corun | Combos},
@@ -587,22 +629,11 @@ const std::vector<Flag<Options>> flags = {
      nullptr, "10000"},
     {"--watchdog-cycles", number(&Options::watchdogCycles, "N", 1),
      "deadlock report after N cycles without progress", Simulating},
-    {"--csv", text(&Options::csvPath),
-     "write the table (corun --stats-interval: time series) as CSV", Every},
-    {"--json", text(&Options::jsonPath), "write it as JSON", Every},
+    {"--obs", text(&Options::obsDir, "DIR"),
+     "write the run bundle into DIR (created; must hold no file)", Every},
     {"--stats-interval", number(&Options::statsInterval, "N", 1),
-     "sample interval telemetry every N cycles", Corun},
-    {"--timeline", text(&Options::timelinePath),
-     "write the sampler's events as a Chrome trace", Corun,
-     "--stats-interval"},
-    {"--profile", text(&Options::profilePath),
-     "write the engine self-profile", Corun},
-    {"--decision-log", text(&Options::decisionLogPath),
-     "write the Dynamic policy's decisions", Corun | Serve},
-    {"--manifest", text(&Options::manifestPath), "write a run manifest",
-     Corun | Serve},
-    {"--prom", text(&Options::promPath),
-     "write the counters as Prometheus text", Corun | Serve},
+     "sample interval telemetry every N cycles (bundle: series, timeline)",
+     Corun},
     {"--snapshot", text(&Options::snapshotPath), "write checkpoints",
      Corun},
     {"--snapshot-at", number(&Options::snapshotAt, "N", 1),
@@ -629,13 +660,11 @@ const std::vector<Flag<Options>> flags = {
      "seeded fault injection", Serve},
     {"--chaos-faults", number(&Options::chaosFaults, "N", 1),
      "faults to inject (default 6)", Serve, "--chaos-seed"},
-    {"--slo", text(&Options::sloPath), "write the per-class SLO report",
-     Serve},
 };
 
 /** Print why (when given) and the usage text, and exit 2. */
-[[noreturn]] void
-usage(const std::string &why = "")
+void
+usage(const std::string &why)
 {
     if (!why.empty())
         std::fprintf(stderr, "wslicer-sim: %s\n", why.c_str());
@@ -676,6 +705,15 @@ parseArgs(int argc, char **argv)
     if (!quotas.empty() &&
         (bit != Corun || quotas.size() != opt.benchNames.size()))
         usage("--policy fixed: needs one quota per corun benchmark");
+    if (!opt.obsDir.empty()) {
+        // A bundle holds one run's files only.
+        namespace fs = std::filesystem;
+        std::error_code ec;
+        if (fs::exists(opt.obsDir, ec) &&
+            !(fs::is_directory(opt.obsDir, ec) &&
+              fs::is_empty(opt.obsDir, ec)))
+            usage("--obs " + opt.obsDir + " already holds files");
+    }
     return opt;
 }
 
